@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import AlphabetError, MalformedInputError, RegexSyntaxError
 
@@ -158,8 +159,26 @@ def parse_regex(text: str, alphabet: Iterable[str]) -> RegexAst:
 Transition = tuple[int, Optional[str], int]
 
 
+class _Checked:
+    """The field checks and the compiled form that Nfa and Dfa share."""
+
+    def _check_states(self) -> None:
+        if self.states < 1:
+            raise MalformedInputError("states: need at least one state")
+        if not 0 <= self.start < self.states:
+            raise MalformedInputError(f"start: state {self.start} out of range")
+        for f in self.finals:
+            if not 0 <= f < self.states:
+                raise MalformedInputError(f"finals: state {f} out of range")
+
+    @cached_property
+    def tables(self) -> Tables:
+        """This automaton in int-indexed form, built on first use and kept."""
+        return _compile(self)
+
+
 @dataclass(frozen=True)
-class Nfa:
+class Nfa(_Checked):
     """Nondeterministic finite automaton; label None means a silent move."""
 
     states: int
@@ -169,28 +188,16 @@ class Nfa:
     finals: frozenset[int]
 
     def __post_init__(self):
-        if self.states < 1:
-            raise MalformedInputError("states: need at least one state")
-        if not 0 <= self.start < self.states:
-            raise MalformedInputError(f"start: state {self.start} out of range")
-        for f in self.finals:
-            if not 0 <= f < self.states:
-                raise MalformedInputError(f"finals: state {f} out of range")
+        self._check_states()
         for src, label, dst in self.transitions:
             if not (0 <= src < self.states and 0 <= dst < self.states):
                 raise MalformedInputError(f"transitions: state out of range in ({src}, {label!r}, {dst})")
             if label is not None and label not in self.alphabet:
                 raise MalformedInputError(f"transitions: label {label!r} not in alphabet")
 
-    def moves(self) -> dict[tuple[int, Optional[str]], set[int]]:
-        out: dict[tuple[int, Optional[str]], set[int]] = {}
-        for src, label, dst in self.transitions:
-            out.setdefault((src, label), set()).add(dst)
-        return out
-
 
 @dataclass(frozen=True, eq=True)
-class Dfa:
+class Dfa(_Checked):
     """Deterministic finite automaton, total over its alphabet."""
 
     states: int
@@ -200,13 +207,7 @@ class Dfa:
     finals: frozenset[int]
 
     def __post_init__(self):
-        if self.states < 1:
-            raise MalformedInputError("states: need at least one state")
-        if not 0 <= self.start < self.states:
-            raise MalformedInputError(f"start: state {self.start} out of range")
-        for f in self.finals:
-            if not 0 <= f < self.states:
-                raise MalformedInputError(f"finals: state {f} out of range")
+        self._check_states()
         for (src, sym), dst in self.delta.items():
             if not (0 <= src < self.states and 0 <= dst < self.states):
                 raise MalformedInputError(f"transitions: state out of range in ({src}, {sym!r}, {dst})")
@@ -221,26 +222,78 @@ class Dfa:
 Automaton = Union[Nfa, Dfa]
 
 
-def _silent_map(nfa: Nfa) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {}
-    for src, label, dst in nfa.transitions:
-        if label is None:
-            out.setdefault(src, []).append(dst)
+def _bits(mask: int) -> Iterator[int]:
+    """The states in the bitmask `mask`, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def image(states: int, edges: Sequence[int]) -> int:
+    """Union of the bitmasks edges[q] over the states q in `states`."""
+    out = 0
+    for q in _bits(states):
+        out |= edges[q]
     return out
+
+
+def _reach(seed: int, edges: Sequence[int]) -> int:
+    """States reachable from the bitmask `seed` along `edges`."""
+    seen = todo = seed
+    while todo:
+        todo = image(todo, edges) & ~seen
+        seen |= todo
+    return seen
+
+
+@dataclass(frozen=True)
+class Tables:
+    """An automaton in int-indexed form.  A set of states is an int
+    bitmask with bit q for state q; `start` and every `moves` entry are
+    closed under silent moves, so stepping never closes again."""
+
+    symbols: tuple[str, ...]  # the alphabet, sorted
+    closures: tuple[int, ...]  # closures[q]: silent closure of {q}
+    moves: Mapping[str, tuple[int, ...]]  # moves[sym][q]: closed successors of q
+    pred: tuple[int, ...]  # pred[p]: states q with p in some moves[sym][q]
+    start: int
+    finals: int
+
+    def step(self, states: int, sym: str) -> int:
+        return image(states, self.moves[sym])
+
+
+def _compile(automaton: Automaton) -> Tables:
+    n = automaton.states
+    symbols = tuple(sorted(automaton.alphabet))
+    if isinstance(automaton, Dfa):
+        closures = tuple(1 << q for q in range(n))
+        moves = {sym: tuple(1 << automaton.delta[(q, sym)] for q in range(n)) for sym in symbols}
+    else:
+        silent = [0] * n
+        for src, label, dst in automaton.transitions:
+            if label is None:
+                silent[src] |= 1 << dst
+        closures = tuple(_reach(1 << q, silent) for q in range(n))
+        rows = {sym: [0] * n for sym in symbols}
+        for src, label, dst in automaton.transitions:
+            if label is not None:
+                rows[label][src] |= closures[dst]
+        moves = {sym: tuple(row) for sym, row in rows.items()}
+    pred = [0] * n
+    for row in moves.values():
+        for q, succ in enumerate(row):
+            for p in _bits(succ):
+                pred[p] |= 1 << q
+    finals = sum(1 << q for q in automaton.finals)
+    return Tables(symbols, closures, moves, tuple(pred), closures[automaton.start], finals)
 
 
 def closure(nfa: Nfa, states: Iterable[int]) -> frozenset[int]:
     """States reachable from `states` by silent moves alone."""
-    silent = _silent_map(nfa)
-    seen = set(states)
-    todo = list(seen)
-    while todo:
-        q = todo.pop()
-        for r in silent.get(q, ()):
-            if r not in seen:
-                seen.add(r)
-                todo.append(r)
-    return frozenset(seen)
+    seed = sum(1 << q for q in set(states))
+    return frozenset(_bits(image(seed, nfa.tables.closures)))
 
 
 def regex_to_nfa(ast: RegexAst) -> Nfa:
@@ -298,34 +351,20 @@ def regex_to_nfa(ast: RegexAst) -> Nfa:
 
 def determinize(nfa: Nfa) -> Dfa:
     """Subset-construct an equivalent total DFA (reachable part only)."""
-    symbols = sorted(nfa.alphabet)
-    moves = nfa.moves()
-    start_set = closure(nfa, {nfa.start})
-    index: dict[frozenset[int], int] = {start_set: 0}
-    order: list[frozenset[int]] = [start_set]
+    t = nfa.tables
+    index = {t.start: 0}
+    order = [t.start]
     delta: dict[tuple[int, str], int] = {}
-    queue = deque([start_set])
-    while queue:
-        subset = queue.popleft()
-        src = index[subset]
-        for sym in symbols:
-            targets: set[int] = set()
-            for q in subset:
-                targets.update(moves.get((q, sym), ()))
-            target_set = closure(nfa, targets) if targets else frozenset()
-            if target_set not in index:
-                index[target_set] = len(order)
-                order.append(target_set)
-                queue.append(target_set)
-            delta[(src, sym)] = index[target_set]
-    finals = frozenset(i for i, subset in enumerate(order) if subset & nfa.finals)
-    return Dfa(
-        states=len(order),
-        alphabet=nfa.alphabet,
-        delta=delta,
-        start=0,
-        finals=finals,
-    )
+    # `order` grows while it is walked, so this is a breadth-first queue
+    for src, subset in enumerate(order):
+        for sym in t.symbols:
+            target = t.step(subset, sym)
+            if target not in index:
+                index[target] = len(order)
+                order.append(target)
+            delta[(src, sym)] = index[target]
+    finals = frozenset(i for i, subset in enumerate(order) if subset & t.finals)
+    return Dfa(len(order), nfa.alphabet, delta, 0, finals)
 
 
 def dfa_to_nfa(dfa: Dfa) -> Nfa:
@@ -343,16 +382,13 @@ def accepts(automaton: Automaton, word: str) -> bool:
         for c in word:
             q = automaton.delta[(q, c)]
         return q in automaton.finals
-    moves = automaton.moves()
-    current = closure(automaton, {automaton.start})
+    t = automaton.tables
+    current = t.start
     for c in word:
-        targets: set[int] = set()
-        for q in current:
-            targets.update(moves.get((q, c), ()))
-        if not targets:
+        current = t.step(current, c)
+        if not current:
             return False
-        current = closure(automaton, targets)
-    return bool(current & automaton.finals)
+    return bool(current & t.finals)
 
 
 def intersect_dfa(a: Dfa, b: Dfa) -> Dfa:
@@ -383,25 +419,8 @@ def intersect_dfa(a: Dfa, b: Dfa) -> Dfa:
 
 def is_empty(automaton: Automaton) -> bool:
     """True iff no final state is reachable (silent moves included)."""
-    if isinstance(automaton, Dfa):
-        succ: dict[int, set[int]] = {}
-        for (src, _sym), dst in automaton.delta.items():
-            succ.setdefault(src, set()).add(dst)
-    else:
-        succ = {}
-        for src, _label, dst in automaton.transitions:
-            succ.setdefault(src, set()).add(dst)
-    seen = {automaton.start}
-    todo = [automaton.start]
-    while todo:
-        q = todo.pop()
-        if q in automaton.finals:
-            return False
-        for r in succ.get(q, ()):
-            if r not in seen:
-                seen.add(r)
-                todo.append(r)
-    return not (seen & automaton.finals)
+    t = automaton.tables
+    return not t.start & _reach(t.finals, t.pred)
 
 
 def erase_letters(automaton: Automaton, erase: Iterable[str]) -> Nfa:

@@ -3,13 +3,14 @@ each word with a problem checker.
 
 This is the semi-decision side of the intersection-emptiness question:
 a hit proves L(A) ∩ P nonempty; running out of budget proves nothing.
-Reports are deterministic for a fixed worker count, and the returned
-witness is always the shortlex-least passing word regardless of
-speculative parallel checking.
+Words stream from a length-exact depth-first enumerator, so every budget
+is checked per word and no length layer is ever built whole.  The
+witness is always the shortlex-least passing word, parallel or not.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +18,8 @@ from itertools import islice
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .automata import Automaton, Dfa, Nfa, closure
+from .automata import Automaton, image
+from .automata import closure  # noqa: F401 - kept by name: bench/tracer.py wraps search.closure
 from .errors import CheckerError, MalformedInputError
 
 WORKER_ENV = "REGINT_WORKER_COUNT"
@@ -30,8 +32,11 @@ class SearchBudget:
     wall_clock_limit: float  # seconds
 
     def __post_init__(self):
-        if self.max_word_length < 1 or self.max_words_tested < 1 or self.wall_clock_limit <= 0:
-            raise MalformedInputError("budget: all limits must be positive")
+        # chained comparisons reject NaN and infinities, and unlike
+        # math.isfinite they accept ints beyond the float range
+        if not (1 <= self.max_word_length < math.inf and 1 <= self.max_words_tested < math.inf
+                and 0 < self.wall_clock_limit < math.inf):
+            raise MalformedInputError("budget: all limits must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -52,81 +57,57 @@ class WitnessReport:
         }
 
 
-def _co_reachable(automaton: Automaton) -> frozenset[int]:
-    """States from which some final state is reachable."""
-    reverse: dict[int, set[int]] = {}
-    if isinstance(automaton, Dfa):
-        edges = ((src, dst) for (src, _sym), dst in automaton.delta.items())
-    else:
-        edges = ((src, dst) for src, _label, dst in automaton.transitions)
-    for src, dst in edges:
-        reverse.setdefault(dst, set()).add(src)
-    seen = set(automaton.finals)
-    todo = list(seen)
-    while todo:
-        q = todo.pop()
-        for p in reverse.get(q, ()):
-            if p not in seen:
-                seen.add(p)
-                todo.append(p)
-    return frozenset(seen)
-
-
 def enumerate_words(automaton: Automaton, max_len: int) -> Iterator[str]:
-    """All accepted words of length ≤ max_len, strictly shortlex.
+    """All accepted words of length ≤ max_len, strictly shortlex, streamed.
 
-    Layered breadth-first over word prefixes; prefixes whose state set
-    cannot reach a final state are pruned immediately, so dead regions
-    of the automaton cost nothing.
+    For each length L, a lexicographic depth-first search over state sets
+    enters a branch only if its set reaches a final state in exactly the
+    letters left (Ackerman & Shallit, "Efficient enumeration of words in
+    regular languages", TCS 410, 2009).  It keeps at most L frames, the
+    table `fin` and the branches of each (state set, `fin` value) pair it
+    reached: O(max_len·|Q|·|Σ|) for a DFA, however large the language.
     """
-    symbols = sorted(automaton.alphabet)
-    live = _co_reachable(automaton)
+    t = automaton.tables
+    fin = [t.finals]  # fin[r]: states with a path of exactly r letters to a final state
+    first = {t.finals: 0}  # where each fin value first appeared, until one repeats
+    period = 0
+    viable: dict[tuple[int, int], list[tuple[str, int]]] = {}
 
-    if isinstance(automaton, Dfa):
-        def step(state: int, sym: str) -> Optional[int]:
-            nxt = automaton.delta[(state, sym)]
-            return nxt if nxt in live else None
+    def branches(states: int, need: int) -> Iterator[tuple[str, int]]:
+        out = viable.get((states, need))
+        if out is None:
+            out = viable[states, need] = [(sym, nxt) for sym in t.symbols if (nxt := t.step(states, sym)) & need]
+        return iter(out)
 
-        def accepting(state: int) -> bool:
-            return state in automaton.finals
-
-        start = automaton.start if automaton.start in live else None
-    else:
-        moves = automaton.moves()
-
-        def step(states: frozenset[int], sym: str) -> Optional[frozenset[int]]:
-            targets: set[int] = set()
-            for q in states:
-                targets.update(moves.get((q, sym), ()))
-            if not targets:
-                return None
-            closed = closure(automaton, targets) & live
-            return closed or None
-
-        def accepting(states: frozenset[int]) -> bool:
-            return bool(states & automaton.finals)
-
-        closed_start = closure(automaton, {automaton.start}) & live
-        start = closed_start or None
-
-    if start is None:
-        return
-    layer: list[tuple[str, object]] = [("", start)]
     for length in range(max_len + 1):
-        for word, state in layer:
-            if accepting(state):
-                yield word
-        if length == max_len:
-            return
-        nxt = []
-        for word, state in layer:
-            for sym in symbols:
-                target = step(state, sym)
-                if target is not None:
-                    nxt.append((word + sym, target))
-        if not nxt:
-            return
-        layer = nxt
+        if period:
+            fin.append(fin[-period])
+        elif length:
+            grown = image(fin[-1], t.pred)
+            period = length - first.setdefault(grown, length)
+            if period and not any(t.start & f for f in fin[-period:]):
+                return  # every longer length repeats this cycle, which holds no word
+            fin.append(grown)
+        if not t.start & fin[length]:
+            continue
+        if not length:
+            yield ""
+            continue
+        word: list[str] = []
+        stack = [branches(t.start, fin[length - 1])]
+        while stack:
+            for sym, nxt in stack[-1]:  # the next branch of the innermost frame
+                break
+            else:
+                stack.pop()
+                if word:
+                    word.pop()
+                continue
+            if len(word) + 1 == length:
+                yield "".join(word) + sym
+            else:
+                word.append(sym)
+                stack.append(branches(nxt, fin[length - len(word) - 1]))
 
 
 def _worker_count(workers: Optional[int]) -> int:

@@ -289,6 +289,15 @@ def test_search_exit_codes(capsys, files):
     assert code == 3 and doc["outcome"] == "budget-exceeded"
 
 
+def test_search_rejects_a_non_finite_timeout(capsys, files):
+    for timeout in ("nan", "inf"):
+        code, doc = run(
+            capsys, "search", "--problem", "bpcp", "--automaton", files["aa_plus"],
+            "--max-len", "10", "--timeout", timeout,
+        )
+        assert code == 2 and "error" in doc
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 

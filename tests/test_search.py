@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
@@ -11,6 +12,8 @@ from regint.automata import Nfa, determinize, parse_regex, regex_to_nfa
 from regint.errors import CheckerError, MalformedInputError
 from regint.problems import member_shuffled_string_eq
 from regint.search import SearchBudget, WitnessReport, enumerate_words, find_witness
+
+from helpers import all_words
 
 
 def nfa_for(text, letters):
@@ -43,6 +46,7 @@ BUDGET = SearchBudget(max_word_length=10, max_words_tested=100, wall_clock_limit
 def test_enumerate_pins():
     assert list(enumerate_words(determinize(nfa_for("a|b", "ab")), 3)) == ["a", "b"]
     assert list(enumerate_words(nfa_for("(ab)*", "ab"), 5)) == ["", "ab", "abab"]
+    assert list(enumerate_words(nfa_for("(aaa)*", "a"), 10)) == ["", "aaa", "a" * 6, "a" * 9]
 
 
 def test_enumerate_agrees_between_nfa_and_dfa():
@@ -67,6 +71,31 @@ def test_enumerate_stream_is_strictly_shortlex_and_duplicate_free(nfa):
     words = list(enumerate_words(nfa, 5))
     assert len(set(words)) == len(words)
     assert words == sorted(words, key=lambda w: (len(w), w))
+
+
+def simulate(nfa, word):
+    """Subset simulation straight from the transition triples."""
+
+    def close(states):
+        todo = list(states)
+        while todo:
+            q = todo.pop()
+            for src, label, dst in nfa.transitions:
+                if src == q and label is None and dst not in states:
+                    states.add(dst)
+                    todo.append(dst)
+        return states
+
+    current = close({nfa.start})
+    for c in word:
+        current = close({dst for src, label, dst in nfa.transitions if src in current and label == c})
+    return bool(current & nfa.finals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfas())
+def test_enumerate_matches_a_brute_force_oracle(nfa):
+    assert list(enumerate_words(nfa, 5)) == [w for w in all_words(nfa.alphabet, 5) if simulate(nfa, w)]
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +150,20 @@ def test_wall_clock_budget_exceeded():
 
     rep = find_witness(nfa, checker, slow)
     assert rep.outcome == "budget-exceeded"
+
+
+def test_word_budget_on_a_live_prefix_tree_streams_in_small_memory():
+    # 2^20 words of length 21 and nothing shorter: the search must not
+    # build that whole length before testing its first word
+    dfa = determinize(nfa_for("(a|b)" * 20 + "c", "abc"))
+    tracemalloc.start()
+    try:
+        rep = find_witness(dfa, lambda w: False, SearchBudget(21, 1000, 60.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.outcome == "budget-exceeded" and rep.words_tested == 1000
+    assert peak < 20 * 2**20
 
 
 def test_replayable_reports():
@@ -210,9 +253,13 @@ def test_budget_limits_must_be_positive():
         dict(max_word_length=0, max_words_tested=1, wall_clock_limit=1.0),
         dict(max_word_length=1, max_words_tested=0, wall_clock_limit=1.0),
         dict(max_word_length=1, max_words_tested=1, wall_clock_limit=0.0),
+        dict(max_word_length=1, max_words_tested=1, wall_clock_limit=float("nan")),
+        dict(max_word_length=1, max_words_tested=1, wall_clock_limit=float("inf")),
+        dict(max_word_length=1, max_words_tested=float("inf"), wall_clock_limit=1.0),
     ):
         with pytest.raises(MalformedInputError):
             SearchBudget(**kwargs)
+    assert SearchBudget(10**400, 1, 1.0).max_word_length == 10**400
 
 
 def test_report_json_shape_and_deterministic_timing():
