@@ -521,7 +521,7 @@ def automaton_from_json(obj: object) -> Automaton:
             if key not in entry:
                 raise MalformedInputError(f"transitions[{i}].{key}: missing")
         src, label, dst = entry["from"], entry["on"], entry["to"]
-        if not isinstance(src, int) or not isinstance(dst, int):
+        if not all(isinstance(q, int) and not isinstance(q, bool) for q in (src, dst)):
             raise MalformedInputError(f"transitions[{i}]: 'from' and 'to' must be integers")
         if label is not None and not (isinstance(label, str) and len(label) == 1):
             raise MalformedInputError(f"transitions[{i}].on: expected a single character or null")

@@ -13,20 +13,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
-from .automata import METACHARS, Dfa, automaton_from_json
-from .deciders import decide_intreg_sequential_string_eq, decide_intreg_unary_shuffled
+from .automata import Dfa, automaton_from_json
 from .errors import MalformedInputError, ReginError, ResourceLimitError
 from .problems import (
+    PAD,
+    PROBLEMS,
+    Problem,
     check_bpcp,
-    member_bounded_tiling,
-    member_bpcp,
-    member_corridor_tiling,
-    member_machine_language,
-    member_sequential_string_eq,
-    member_shuffled_regex_eq,
-    member_shuffled_string_eq,
     pcp_from_json,
     solve_bounded_tiling,
     solve_corridor_tiling,
@@ -43,31 +38,14 @@ from .reductions import (
 )
 from .search import SearchBudget, find_witness
 
-PAD = "_"
-SEPARATOR = "$"
-
-PROBLEMS = (
-    "shuffled-string-eq",
-    "sequential-string-eq",
-    "unary-shuffled-string-eq",
-    "shuffled-regex-eq",
-    "bpcp",
-    "bounded-tiling",
-    "corridor-tiling",
-    "machine-nl",
-    "machine-np",
-    "machine-pspace",
-)
-
-MACHINE_MODES = {"machine-nl": "NL", "machine-np": "NP", "machine-pspace": "PSPACE"}
-
-REDUCTIONS = (
-    "pcp-to-shuffled-regex",
-    "pcp-to-bpcp",
-    "tm-to-machine-lang",
-    "ntm-to-tiles",
-    "ntm-to-tiling-lang",
-)
+# reduction kind -> builder from (input document, --variant) to the printed payload
+REDUCTIONS = {
+    "pcp-to-shuffled-regex": lambda data, _: reduce_pcp_to_shuffled_regex(pcp_from_json(data), PAD).to_json(),
+    "pcp-to-bpcp": lambda data, _: reduce_pcp_to_bpcp_lang(pcp_from_json(data)).to_json(),
+    "tm-to-machine-lang": lambda data, _: reduce_tm_to_machine_lang(tm_from_json(data)).to_json(),
+    "ntm-to-tiles": lambda data, _: tile_set_to_json(reduce_ntm_to_tiles(tm_from_json(data))),
+    "ntm-to-tiling-lang": lambda data, variant: reduce_ntm_to_tiling_lang(tm_from_json(data), variant).to_json(),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,46 +71,24 @@ def _load_json(path: str):
         raise MalformedInputError(f"in: {path} is not JSON: {exc}") from exc
 
 
-def _alphabet_for(problem: str, word: str, override: Optional[str]) -> frozenset[str]:
-    if override is not None:
-        letters = frozenset(override)
-        if not letters:
-            raise MalformedInputError("alphabet: may not be empty")
-        return letters
-    if problem == "shuffled-string-eq":
-        return frozenset(word) - {PAD}
-    if problem == "sequential-string-eq":
-        return frozenset(word) - {PAD, SEPARATOR}
-    if problem == "shuffled-regex-eq":
-        return frozenset(word) - METACHARS
-    if problem == "unary-shuffled-string-eq":
-        return frozenset("a")
-    raise MalformedInputError(f"alphabet: not applicable to {problem}")
+def _alphabet(problem: Problem, override: Optional[str], letters: Iterable[str]) -> frozenset[str]:
+    """The override as given, else the inferred letters minus the
+    problem's reserved symbols."""
+    if problem.reserved is None:
+        if override is not None:
+            raise MalformedInputError(f"alphabet: not applicable to {problem.name}")
+        return frozenset()
+    if override is None:
+        return frozenset(letters) - problem.reserved
+    if not override:
+        raise MalformedInputError("alphabet: may not be empty")
+    return frozenset(override)
 
 
 def _run_check(args) -> int:
-    problem, word = args.problem, args.word
-    if problem in MACHINE_MODES:
-        member = member_machine_language(word, MACHINE_MODES[problem])
-    elif problem == "bpcp":
-        member = member_bpcp(word)
-    elif problem == "bounded-tiling":
-        member = member_bounded_tiling(word)
-    elif problem == "corridor-tiling":
-        member = member_corridor_tiling(word)
-    else:
-        alphabet = _alphabet_for(problem, word, args.alphabet)
-        if problem == "shuffled-string-eq":
-            member = member_shuffled_string_eq(word, alphabet, PAD)
-        elif problem == "sequential-string-eq":
-            member = member_sequential_string_eq(word, alphabet, PAD)
-        elif problem == "unary-shuffled-string-eq":
-            if len(alphabet) != 1:
-                raise MalformedInputError("alphabet: need exactly one unary symbol")
-            member = member_shuffled_string_eq(word, alphabet, PAD)
-        else:
-            member = member_shuffled_regex_eq(word, alphabet)
-    _emit({"problem": problem, "word": word, "member": member})
+    problem = PROBLEMS[args.problem]
+    member = problem.checker(_alphabet(problem, args.alphabet, args.word))(args.word)
+    _emit({"problem": args.problem, "word": args.word, "member": member})
     return 0 if member else 1
 
 
@@ -140,59 +96,16 @@ def _run_decide(args) -> int:
     automaton = automaton_from_json(_load_json(args.dfa))
     if not isinstance(automaton, Dfa):
         raise MalformedInputError("kind: decide expects a dfa")
-    if args.problem == "sequential-string-eq":
-        alphabet = (
-            frozenset(args.alphabet)
-            if args.alphabet is not None
-            else automaton.alphabet - {PAD, SEPARATOR}
-        )
-        verdict, witness = decide_intreg_sequential_string_eq(automaton, alphabet, PAD)
-    else:
-        unary = (
-            frozenset(args.alphabet)
-            if args.alphabet is not None
-            else automaton.alphabet - {PAD}
-        )
-        if len(unary) != 1:
-            raise MalformedInputError("alphabet: need exactly one unary symbol")
-        verdict = decide_intreg_unary_shuffled(automaton, next(iter(unary)), PAD)
-        witness = None
+    problem = PROBLEMS[args.problem]
+    verdict, witness = problem.decider(automaton, _alphabet(problem, args.alphabet, automaton.alphabet))
     _emit({"problem": args.problem, "verdict": verdict, "witness": witness})
     return 0 if verdict else 1
 
 
-def _checker_for(problem: str, alphabet_override: Optional[str], automaton):
-    if problem in MACHINE_MODES:
-        mode = MACHINE_MODES[problem]
-        return lambda word: member_machine_language(word, mode)
-    if problem == "bpcp":
-        return member_bpcp
-    if problem == "bounded-tiling":
-        return member_bounded_tiling
-    if problem == "corridor-tiling":
-        return member_corridor_tiling
-    if alphabet_override is not None:
-        alphabet = frozenset(alphabet_override)
-    elif problem == "sequential-string-eq":
-        alphabet = automaton.alphabet - {PAD, SEPARATOR}
-    elif problem == "shuffled-regex-eq":
-        alphabet = automaton.alphabet - METACHARS - {PAD}
-    else:
-        alphabet = automaton.alphabet - {PAD}
-    if problem == "shuffled-string-eq":
-        return lambda word: member_shuffled_string_eq(word, alphabet, PAD)
-    if problem == "sequential-string-eq":
-        return lambda word: member_sequential_string_eq(word, alphabet, PAD)
-    if problem == "unary-shuffled-string-eq":
-        if len(alphabet) != 1:
-            raise MalformedInputError("alphabet: need exactly one unary symbol")
-        return lambda word: member_shuffled_string_eq(word, alphabet, PAD)
-    return lambda word: member_shuffled_regex_eq(word, alphabet)
-
-
 def _run_search(args) -> int:
     automaton = automaton_from_json(_load_json(args.automaton))
-    checker = _checker_for(args.problem, args.alphabet, automaton)
+    problem = PROBLEMS[args.problem]
+    checker = problem.checker(_alphabet(problem, args.alphabet, automaton.alphabet))
     budget = SearchBudget(
         max_word_length=args.max_len,
         max_words_tested=args.max_words,
@@ -204,17 +117,7 @@ def _run_search(args) -> int:
 
 
 def _run_reduce(args) -> int:
-    data = _load_json(args.infile)
-    if args.kind == "pcp-to-shuffled-regex":
-        payload = reduce_pcp_to_shuffled_regex(pcp_from_json(data), PAD).to_json()
-    elif args.kind == "pcp-to-bpcp":
-        payload = reduce_pcp_to_bpcp_lang(pcp_from_json(data)).to_json()
-    elif args.kind == "tm-to-machine-lang":
-        payload = reduce_tm_to_machine_lang(tm_from_json(data)).to_json()
-    elif args.kind == "ntm-to-tiles":
-        payload = tile_set_to_json(reduce_ntm_to_tiles(tm_from_json(data)))
-    else:
-        payload = reduce_ntm_to_tiling_lang(tm_from_json(data), args.variant).to_json()
+    payload = REDUCTIONS[args.kind](_load_json(args.infile), args.variant)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, sort_keys=True, indent=2)
@@ -229,7 +132,7 @@ def _run_solve(args) -> int:
         if not isinstance(data, dict) or "k" not in data:
             raise MalformedInputError("k: missing bound for bpcp")
         bound = data["k"]
-        if not isinstance(bound, int) or bound < 1:
+        if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
             raise MalformedInputError("k: expected a positive integer")
         instance = pcp_from_json({key: data[key] for key in ("alphabet", "a", "b") if key in data})
         solution = check_bpcp(instance, bound)
@@ -281,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     decide = sub.add_parser("decide", help="run a decision procedure on a DFA file")
     decide.add_argument("--problem", required=True,
-                        choices=("sequential-string-eq", "unary-shuffled-string-eq"))
+                        choices=tuple(name for name, p in PROBLEMS.items() if p.decider))
     decide.add_argument("--dfa", required=True, help="automaton JSON of kind dfa")
     decide.add_argument("--alphabet", help="base letters (default: from the DFA)")
     decide.set_defaults(run=_run_decide)

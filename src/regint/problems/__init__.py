@@ -4,8 +4,20 @@ Every member_* function is total on arbitrary words: malformed or
 out-of-alphabet input is a non-member, never an exception, because the
 witness-search harness feeds these checkers raw enumerated words.
 Resource-capped checkers raise ResourceLimitError rather than guess.
+
+PROBLEMS is the one table of problem languages P: for each, the symbols
+alphabet inference drops, a checker factory and, where L(A) ∩ P ≠ ∅ is
+decidable, a decider.
 """
 
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+from ..automata import METACHARS, Dfa
+from ..deciders import SEPARATOR, decide_intreg_sequential_string_eq, decide_intreg_unary_shuffled
+from ..errors import MalformedInputError
 from .strings import (
     interleave,
     member_sequential_string_eq,
@@ -52,6 +64,61 @@ from .tiling import (
     tiling_instance_to_json,
     validate_tiling,
 )
+
+PAD = "_"
+
+
+@dataclass(frozen=True)
+class Problem:
+    """One problem language P.
+
+    `reserved` holds the encoding symbols that alphabet inference drops
+    from the inferred letters; None means P takes no alphabet.
+    `checker(alphabet)` returns the membership test for one word, and
+    `decider(dfa, alphabet)`, when P has one, returns (verdict, witness).
+    """
+
+    name: str
+    reserved: Optional[frozenset[str]]
+    checker: Callable[[frozenset[str]], Callable[[str], bool]]
+    decider: Optional[Callable[[Dfa, frozenset[str]], tuple[bool, Optional[str]]]] = None
+
+
+def _shuffled(alphabet: frozenset[str]) -> Callable[[str], bool]:
+    return lambda word: member_shuffled_string_eq(word, alphabet, PAD)
+
+
+def _unary(alphabet: frozenset[str]) -> Callable[[str], bool]:
+    if len(alphabet) > 1:
+        raise MalformedInputError("alphabet: need exactly one unary symbol")
+    return _shuffled(alphabet)
+
+
+def _decide_unary(dfa: Dfa, alphabet: frozenset[str]) -> tuple[bool, None]:
+    if len(alphabet) != 1:
+        raise MalformedInputError("alphabet: need exactly one unary symbol")
+    return decide_intreg_unary_shuffled(dfa, next(iter(alphabet)), PAD), None
+
+
+def _machine(mode: str) -> Callable[[frozenset[str]], Callable[[str], bool]]:
+    return lambda _: lambda word: member_machine_language(word, mode)
+
+
+PROBLEMS: dict[str, Problem] = {p.name: p for p in (
+    Problem("shuffled-string-eq", frozenset({PAD}), _shuffled),
+    Problem("sequential-string-eq", frozenset({PAD, SEPARATOR}),
+            lambda alphabet: lambda word: member_sequential_string_eq(word, alphabet, PAD),
+            lambda dfa, alphabet: decide_intreg_sequential_string_eq(dfa, alphabet, PAD)),
+    Problem("unary-shuffled-string-eq", frozenset({PAD}), _unary, _decide_unary),
+    Problem("shuffled-regex-eq", METACHARS,
+            lambda alphabet: lambda word: member_shuffled_regex_eq(word, alphabet)),
+    Problem("bpcp", None, lambda _: member_bpcp),
+    Problem("bounded-tiling", None, lambda _: member_bounded_tiling),
+    Problem("corridor-tiling", None, lambda _: member_corridor_tiling),
+    Problem("machine-nl", None, _machine("NL")),
+    Problem("machine-np", None, _machine("NP")),
+    Problem("machine-pspace", None, _machine("PSPACE")),
+)}
 
 __all__ = [
     "BpcpSolution",

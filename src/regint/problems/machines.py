@@ -382,6 +382,12 @@ def tm_from_json(obj: object) -> TmSpec:
         for key in ("from", "read", "to", "write", "move"):
             if key not in entry:
                 raise MalformedInputError(f"delta[{i}].{key}: missing")
+        for key in ("from", "to"):
+            if not isinstance(entry[key], int) or isinstance(entry[key], bool):
+                raise MalformedInputError(f"delta[{i}].{key}: expected an integer")
+        for key in ("read", "write", "move"):
+            if not isinstance(entry[key], str):
+                raise MalformedInputError(f"delta[{i}].{key}: expected a string")
         transitions.append(
             (entry["from"], entry["read"], entry["to"], entry["write"], entry["move"])
         )

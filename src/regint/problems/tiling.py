@@ -378,8 +378,8 @@ def tile_set_from_json(obj: object) -> TileSet:
         raise MalformedInputError("tiles: expected a list")
     tiles = []
     for i, entry in enumerate(raw):
-        if not isinstance(entry, dict) or not all(k in entry for k in ("w", "n", "e", "s")):
-            raise MalformedInputError(f"tiles[{i}]: expected an object with w/n/e/s")
+        if not isinstance(entry, dict) or not all(isinstance(entry.get(k), str) for k in "wnes"):
+            raise MalformedInputError(f"tiles[{i}]: expected an object with string w/n/e/s")
         tiles.append(TileType(entry["w"], entry["n"], entry["e"], entry["s"]))
     for key in ("white", "blank", "accept"):
         value = obj.get(key)

@@ -22,7 +22,7 @@ from functools import reduce
 from .automata import Alt, Concat, EmptyWord, Lit, Nfa, RegexAst, RegexNode, Star, regex_to_nfa
 from .errors import AlphabetError, MalformedInputError
 from .problems.bpcp import PcpInstance
-from .problems.machines import TmSpec, encode_tm, decode_tm  # noqa: F401  (decode_tm re-exported)
+from .problems.machines import TmSpec, encode_tm
 from .problems.strings import interleave, pad_to_common
 from .problems.tiling import TileSet, TileType, serialize_tile_set
 

@@ -5,24 +5,19 @@ This is the semi-decision side of the intersection-emptiness question:
 a hit proves L(A) ∩ P nonempty; running out of budget proves nothing.
 Words stream from a length-exact depth-first enumerator, so every budget
 is checked per word and no length layer is ever built whole.  The
-witness is always the shortlex-least passing word, parallel or not.
+witness is always the shortlex-least passing word.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from itertools import islice
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .automata import Automaton, image
 from .automata import closure  # noqa: F401 - kept by name: bench/tracer.py wraps search.closure
 from .errors import CheckerError, MalformedInputError
-
-WORKER_ENV = "REGINT_WORKER_COUNT"
 
 
 @dataclass(frozen=True)
@@ -110,33 +105,20 @@ def enumerate_words(automaton: Automaton, max_len: int) -> Iterator[str]:
                 stack.append(branches(nxt, fin[length - len(word) - 1]))
 
 
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    raw = os.environ.get(WORKER_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def find_witness(
     automaton: Automaton,
     checker: Callable[[str], bool],
     budget: SearchBudget,
-    workers: Optional[int] = None,
 ) -> WitnessReport:
     """Shortlex-least word of L(automaton) passing the checker, within budget.
 
     Outcomes: "witness" with the word; "exhausted" when every word up
     to the length bound was tested; "budget-exceeded" when the word or
-    wall-clock budget ran out first.  With several workers the checker
-    runs speculatively on chunks, but the reported witness and
-    wordsTested match the sequential run exactly.
+    wall-clock budget ran out first.  Words are tested one at a time in
+    shortlex order, so the witness and wordsTested are reproducible.
 
     Checker exceptions are re-raised as CheckerError naming the word.
     """
-    count = _worker_count(workers)
     start_time = time.perf_counter()
 
     def report(outcome: str, witness: Optional[str], tested: int, bound: Optional[int]) -> WitnessReport:
@@ -148,36 +130,13 @@ def find_witness(
         except Exception as exc:  # noqa: BLE001 - wrapped with the offending word
             raise CheckerError(word, exc) from exc
 
-    stream = enumerate_words(automaton, budget.max_word_length)
     tested = 0
-    if count == 1:
-        for word in stream:
-            if tested >= budget.max_words_tested:
-                return report("budget-exceeded", None, tested, None)
-            if time.perf_counter() - start_time > budget.wall_clock_limit:
-                return report("budget-exceeded", None, tested, None)
-            tested += 1
-            if run_checker(word):
-                return report("witness", word, tested, None)
-        return report("exhausted", None, tested, budget.max_word_length)
-
-    chunk_size = 4 * count
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        while True:
-            if time.perf_counter() - start_time > budget.wall_clock_limit:
-                return report("budget-exceeded", None, tested, None)
-            remaining = budget.max_words_tested - tested
-            if remaining <= 0:
-                if next(stream, None) is None:
-                    return report("exhausted", None, tested, budget.max_word_length)
-                return report("budget-exceeded", None, tested, None)
-            chunk = list(islice(stream, min(chunk_size, remaining)))
-            if not chunk:
-                return report("exhausted", None, tested, budget.max_word_length)
-            # Speculative: evaluate the whole chunk, then take the first hit
-            # in shortlex order so parallelism never changes the answer.
-            results = list(pool.map(run_checker, chunk))
-            for i, hit in enumerate(results):
-                if hit:
-                    return report("witness", chunk[i], tested + i + 1, None)
-            tested += len(chunk)
+    for word in enumerate_words(automaton, budget.max_word_length):
+        if tested >= budget.max_words_tested:
+            return report("budget-exceeded", None, tested, None)
+        if time.perf_counter() - start_time > budget.wall_clock_limit:
+            return report("budget-exceeded", None, tested, None)
+        tested += 1
+        if run_checker(word):
+            return report("witness", word, tested, None)
+    return report("exhausted", None, tested, budget.max_word_length)

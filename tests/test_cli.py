@@ -5,13 +5,17 @@ every path, including usage errors, and verdicts ride the exit code
 (0 yes, 1 no, 2 malformed, 3 budget exceeded).
 """
 
+import contextlib
+import io
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from regint.automata import Dfa, Nfa, automaton_to_json, parse_regex, regex_to_nfa
-from regint.cli import main
-from regint.problems import pcp_to_json, tiling_instance_to_json, tm_to_json
+from regint.cli import REDUCTIONS, main
+from regint.problems import PROBLEMS, pcp_to_json, tiling_instance_to_json, tm_to_json
 from regint.problems.tiling import TilingInstance
 from regint.reductions import reduce_ntm_to_tiles
 
@@ -64,6 +68,7 @@ def files(tmp_path):
             "dfa_abab.json", automaton_to_json(exact_word_dfa("ab$ab", "ab_$"))
         ),
         "dfa_aa": dump("dfa_aa.json", automaton_to_json(exact_word_dfa("aa", "a_"))),
+        "dfa_bb": dump("dfa_bb.json", automaton_to_json(exact_word_dfa("bb", "b_"))),
         "nfa": dump(
             "nfa.json",
             automaton_to_json(
@@ -132,6 +137,48 @@ def test_check_alphabet_override(capsys):
         "--alphabet", "",
     )
     assert code == 2 and "empty" in doc["error"]
+
+
+def test_check_infers_the_unary_letter_from_the_word(capsys):
+    for word in ("bb", "b__b", "__", ""):
+        code, doc = run(capsys, "check", "--problem", "unary-shuffled-string-eq", "--word", word)
+        assert code == 0 and doc["member"] is True
+    assert run(capsys, "check", "--problem", "unary-shuffled-string-eq", "--word", "bbb_")[0] == 1
+    code, doc = run(capsys, "check", "--problem", "unary-shuffled-string-eq", "--word", "ab")
+    assert code == 2 and doc == {"error": "alphabet: need exactly one unary symbol"}
+
+
+def test_alphabet_rule_agrees_across_subcommands(capsys, files):
+    # the same {b, _} word, checked, searched for and decided
+    assert run(capsys, "check", "--problem", "unary-shuffled-string-eq", "--word", "bb")[0] == 0
+    code, doc = run(
+        capsys, "search", "--problem", "unary-shuffled-string-eq", "--automaton", files["dfa_bb"],
+        "--max-len", "4",
+    )
+    assert code == 0 and doc["witness"] == "bb"
+    code, doc = run(
+        capsys, "decide", "--problem", "unary-shuffled-string-eq", "--dfa", files["dfa_bb"]
+    )
+    assert code == 0 and doc["verdict"] is True
+    for argv in (
+        ["search", "--problem", "unary-shuffled-string-eq", "--automaton", files["dfa_bb"],
+         "--max-len", "4"],
+        ["decide", "--problem", "unary-shuffled-string-eq", "--dfa", files["dfa_bb"]],
+        ["decide", "--problem", "sequential-string-eq", "--dfa", files["dfa_abab"]],
+    ):
+        code, doc = run(capsys, *argv, "--alphabet", "")
+        assert code == 2 and doc == {"error": "alphabet: may not be empty"}
+
+
+def test_alphabet_is_refused_where_the_problem_takes_none(capsys, files):
+    for argv in (
+        ["check", "--problem", "machine-np", "--word", f"{M2_ENC}$01$aa"],
+        ["check", "--problem", "bounded-tiling", "--word", "x"],
+        ["search", "--problem", "bpcp", "--automaton", files["aa_plus"], "--max-len", "4"],
+        ["search", "--problem", "corridor-tiling", "--automaton", files["aa_plus"], "--max-len", "4"],
+    ):
+        code, doc = run(capsys, *argv, "--alphabet", "01")
+        assert code == 2 and doc == {"error": f"alphabet: not applicable to {argv[2]}"}
 
 
 def test_check_unknown_problem_is_a_usage_error(capsys):
@@ -311,3 +358,151 @@ def test_usage_errors_emit_json(capsys):
     ):
         code, doc = run_fatal(capsys, *argv)
         assert code == 2 and "error" in doc
+
+
+# ---------------------------------------------------------------------------
+# loaders: mistyped fields are malformed input, never a traceback
+
+
+def test_machine_loader_checks_the_types_of_each_transition(capsys, tmp_path):
+    for field, value in (("from", "x"), ("to", True), ("read", ["0"]), ("move", 1)):
+        doc = tm_to_json(M2)
+        doc["delta"][0][field] = value
+        path = tmp_path / "tm.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "reduce", "tm-to-machine-lang", "--in", str(path))
+        assert code == 2 and out["error"].startswith(f"delta[0].{field}: expected")
+
+
+def test_solve_bpcp_rejects_a_boolean_bound(capsys, tmp_path):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({**pcp_to_json(CLASSIC), "k": True}))
+    code, doc = run(capsys, "solve", "bpcp", "--in", str(path))
+    assert code == 2 and doc == {"error": "k: expected a positive integer"}
+
+
+def test_automaton_loader_rejects_boolean_states(capsys, tmp_path):
+    doc = automaton_to_json(exact_word_dfa("aa", "a_"))
+    doc["transitions"][0]["to"] = True
+    path = tmp_path / "dfa.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "decide", "--problem", "unary-shuffled-string-eq", "--dfa", str(path))
+    assert code == 2 and "must be integers" in out["error"]
+
+
+# ---------------------------------------------------------------------------
+# the output contract on arbitrary invocations and documents
+
+FIELDS = ("kind", "alphabet", "states", "start", "finals", "transitions", "from", "on", "to",
+          "input", "tape", "blank", "accept", "delta", "read", "write", "move", "a", "b", "k",
+          "colors", "tiles", "w", "n", "e", "s", "white", "variant", "width", "l", "t", "r")
+LETTERS = "ab01_$#;,.()|*~:qw"
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.text(LETTERS, max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(FIELDS), inner, max_size=3),
+    max_leaves=8,
+)
+WHITE_TILE = {"w": "w", "n": "w", "e": "w", "s": "w"}
+PCP = pcp_to_json(CLASSIC)
+TM = tm_to_json(M2)
+DFAS = (automaton_to_json(exact_word_dfa("aa", "a_")), automaton_to_json(exact_word_dfa("ab$ab", "ab_$")))
+NFA = automaton_to_json(regex_to_nfa(parse_regex("(aa)(aa)*", frozenset("a"))))
+TILINGS = (
+    {"colors": ["w", "x"], "white": None, "blank": None, "accept": None, "tiles": [WHITE_TILE],
+     "variant": "bounded", "width": 2, "t": ["w", "w"], "b": ["w", "w"], "l": ["w", "w"], "r": ["w", "w"]},
+    {"colors": ["w", "x"], "white": None, "blank": None, "accept": None, "tiles": [WHITE_TILE],
+     "variant": "corridor", "width": 2, "t": ["w", "w"], "b": ["w", "x"], "l": None, "r": None},
+)
+SEEDS = {  # the documents each subcommand reads
+    "decide": DFAS, "search": DFAS + (NFA,),
+    "pcp-to-shuffled-regex": (PCP,), "pcp-to-bpcp": (PCP,), "tm-to-machine-lang": (TM,),
+    "ntm-to-tiles": (TM,), "ntm-to-tiling-lang": (TM,),
+    "bpcp": ({**PCP, "k": 3},), "bounded-tiling": TILINGS, "corridor-tiling": TILINGS,
+}
+
+
+def _slots(value):
+    """Every (container, key) inside a JSON value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield value, key
+        yield from _slots(child)
+
+
+@st.composite
+def documents(draw, seeds):
+    """A seed document with a few fields replaced or deleted, any JSON
+    value, or text that is not JSON."""
+    shape = draw(st.sampled_from(("seed",) * 6 + ("value", "text")))
+    if shape == "text":
+        return draw(st.text(LETTERS + '{}[]"', max_size=10))
+    doc = draw(json_values) if shape == "value" else json.loads(json.dumps(draw(st.sampled_from(seeds))))
+    for _ in range(draw(st.integers(0, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        if isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(json_values)
+    return json.dumps(doc)
+
+
+@st.composite
+def invocations(draw):
+    """(argv, text of the input file that "{in}" in argv names)."""
+    problems = st.sampled_from(sorted(PROBLEMS) + ["nope"])
+    sub = draw(st.sampled_from(("check", "decide", "search", "reduce", "solve")))
+    target = sub
+    if sub == "check":
+        argv = ["check", "--problem", draw(problems), "--word", draw(st.text(LETTERS, max_size=12))]
+    elif sub == "decide":
+        argv = ["decide", "--problem", draw(problems), "--dfa", "{in}"]
+    elif sub == "search":
+        argv = ["search", "--problem", draw(problems), "--automaton", "{in}",
+                "--max-len", draw(st.sampled_from(("-1", "0", "3", "6", "x"))),
+                "--max-words", draw(st.sampled_from(("0", "1", "20"))),
+                "--timeout", draw(st.sampled_from(("0.5", "0", "nan", "inf")))]
+    elif sub == "reduce":
+        target = draw(st.sampled_from(sorted(REDUCTIONS)))
+        argv = ["reduce", target, "--in", "{in}",
+                "--variant", draw(st.sampled_from(("bounded", "corridor", "nope")))]
+    else:
+        target = draw(st.sampled_from(("bounded-tiling", "corridor-tiling", "bpcp")))
+        argv = ["solve", target, "--in", "{in}"]
+    if sub in ("check", "decide", "search") and draw(st.booleans()):
+        argv += ["--alphabet", draw(st.text(LETTERS, max_size=3))]
+    if draw(st.booleans()):
+        argv.insert(0, "--deterministic")
+    if draw(st.integers(0, 9)) == 0:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv, draw(documents(SEEDS.get(target, DFAS)))
+
+
+VERDICTS_OF_EXIT_1 = ({"member": False}, {"verdict": False}, {"outcome": "exhausted"})
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(invocation=invocations())
+def test_every_invocation_keeps_the_output_contract(tmp_path, invocation):
+    argv, text = invocation
+    path = tmp_path / "in.json"
+    path.write_text(text, encoding="utf-8")
+    argv = [str(path) if a == "{in}" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the invocation
+            code = exc.code
+    doc = json.loads(out.getvalue())  # exactly one JSON document
+    assert err.getvalue() == ""
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert doc == "none" or any(isinstance(doc, dict) and doc.items() >= v.items()
+                                    for v in VERDICTS_OF_EXIT_1)
+    if code == 2:
+        assert isinstance(doc, dict) and set(doc) == {"error"}
+    if code == 3:
+        assert doc["outcome"] == "budget-exceeded"

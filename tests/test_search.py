@@ -99,7 +99,7 @@ def test_enumerate_matches_a_brute_force_oracle(nfa):
 
 
 # ---------------------------------------------------------------------------
-# find_witness, sequential
+# find_witness
 
 
 def test_witness_found_for_the_interleaving_checker():
@@ -137,7 +137,6 @@ def test_word_budget_boundary_still_exhausts():
     nfa = nfa_for("(aa)(aa)*", "a")
     tight = SearchBudget(max_word_length=10, max_words_tested=5, wall_clock_limit=5.0)
     assert find_witness(nfa, lambda w: False, tight).outcome == "exhausted"
-    assert find_witness(nfa, lambda w: False, tight, workers=4).outcome == "exhausted"
 
 
 def test_wall_clock_budget_exceeded():
@@ -170,6 +169,7 @@ def test_replayable_reports():
     nfa = nfa_for("(aa)(aa)*", "a")
     first = find_witness(nfa, lambda w: len(w) >= 6, BUDGET)
     second = find_witness(nfa, lambda w: len(w) >= 6, BUDGET)
+    assert first.outcome == "witness" and first.witness == "aaaaaa" and first.words_tested == 3
     assert (first.outcome, first.witness, first.words_tested) == (
         second.outcome,
         second.witness,
@@ -194,42 +194,6 @@ def test_accept_checker_returns_the_shortlex_least_word(nfa):
         assert rep.outcome == "witness"
         assert rep.witness == least
         assert rep.words_tested == 1
-
-
-# ---------------------------------------------------------------------------
-# Parallel checking must not change any answer
-
-
-def test_parallel_witness_matches_sequential():
-    nfa = nfa_for("(aa)(aa)*", "a")
-    seq = find_witness(nfa, lambda w: len(w) >= 6, BUDGET)
-    par = find_witness(nfa, lambda w: len(w) >= 6, BUDGET, workers=4)
-    assert seq.outcome == par.outcome == "witness"
-    assert seq.witness == par.witness == "aaaaaa"
-    assert seq.words_tested == par.words_tested == 3
-
-
-def test_parallel_exhausted_and_budget_paths():
-    nfa = nfa_for("(aa)(aa)*", "a")
-    rep = find_witness(nfa, lambda w: False, BUDGET, workers=4)
-    assert rep.outcome == "exhausted" and rep.words_tested == 5
-    rep = find_witness(
-        nfa,
-        lambda w: False,
-        SearchBudget(max_word_length=10, max_words_tested=3, wall_clock_limit=5.0),
-        workers=4,
-    )
-    assert rep.outcome == "budget-exceeded"
-
-
-def test_worker_count_env_override(monkeypatch):
-    nfa = nfa_for("(aa)(aa)*", "a")
-    monkeypatch.setenv("REGINT_WORKER_COUNT", "4")
-    rep = find_witness(nfa, lambda w: len(w) >= 6, BUDGET)
-    assert rep.outcome == "witness" and rep.witness == "aaaaaa" and rep.words_tested == 3
-    monkeypatch.setenv("REGINT_WORKER_COUNT", "not-a-number")
-    rep = find_witness(nfa, lambda w: len(w) >= 6, BUDGET)
-    assert rep.outcome == "witness" and rep.witness == "aaaaaa"
 
 
 # ---------------------------------------------------------------------------

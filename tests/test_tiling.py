@@ -272,3 +272,7 @@ def test_instance_json_names_bad_fields():
     with pytest.raises(MalformedInputError) as exc:
         tiling_instance_from_json({"variant": "bounded"})
     assert "width" in str(exc.value) or "tiles" in str(exc.value) or "colors" in str(exc.value)
+    doc = tile_set_to_json(tiles_of(("w", "c", "w", "c")))
+    doc["tiles"][0]["w"] = ["w"]
+    with pytest.raises(MalformedInputError, match=r"tiles\[0\]"):
+        tile_set_from_json(doc)
