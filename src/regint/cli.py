@@ -49,12 +49,15 @@ REDUCTIONS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument errors also land on stdout as JSON, keeping the output
-    contract on the malformed-invocation path."""
+    """Argument errors and -h/--help also land on stdout as JSON, keeping
+    the output contract on the malformed-invocation and help paths."""
 
     def error(self, message):
         _emit({"error": message})
         raise SystemExit(2)
+
+    def print_help(self, file=None):
+        _emit({"help": self.format_help()})
 
 
 def _emit(payload) -> None:

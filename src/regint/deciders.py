@@ -2,17 +2,20 @@
 
 Two problem families admit a genuine decision procedure instead of a
 bounded witness search.  For words u$u' whose sides agree after erasing
-the pad letter, the automaton is split at the separator and the erased
-side languages are compared for every usable state pair.  For the unary
-interleaving language, a two-state counter pushdown automaton is
-intersected with the automaton and tested for context-free emptiness.
+the pad letter, the automaton is split at each separator move, and one
+search over state pairs per separator successor looks for a common
+erased word of the two sides; the witness is the first split in product
+state order, the least shortest common erased word, then its least
+shortest lifts with pads.  For the unary interleaving language, a
+two-state counter pushdown automaton is intersected with the automaton
+and tested for context-free emptiness.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .automata import Dfa, Nfa, erase_letters, intersect_dfa
+from .automata import Dfa, Nfa, _bits, _reach, erase_letters, image, intersect_dfa
 from .errors import AlphabetError
 from .pda import Pda, pda_intersect_dfa, pda_is_empty
 
@@ -84,18 +87,64 @@ def _shape_dfa(full_alphabet: frozenset[str], side_letters: frozenset[str]) -> D
     return Dfa(3, full_alphabet, delta, 0, frozenset({1}))
 
 
+def _add_new(seen: dict[int, int], nodes: dict[int, int]) -> dict[int, int]:
+    """Add `nodes` to `seen` and return the part of `nodes` that is new."""
+    fresh = {}
+    for key, mask in nodes.items():
+        mask &= ~seen.get(key, 0)
+        if mask:
+            fresh[key] = mask
+            seen[key] = seen.get(key, 0) | mask
+    return fresh
+
+
+def _least_word(start, labels, step, found) -> Optional[str]:
+    """The least shortest word w for which `found` holds, or None.
+
+    A node set maps a key to a state bitmask.  `start` is the node set
+    the empty word reaches and `step(nodes, label)` the set one label
+    further.  Each layer lists (group, node set) pairs in word order,
+    and a node joins the group of the first word that reaches it, so
+    every node sits in the group of its least shortest word and `found`
+    is asked of each group in that order.  A group keeps only its
+    (parent group, label) link; the word is spelled once, at the end.
+    """
+    seen = dict(start)
+    links = [(0, "")]
+    layer = [(0, start)]
+    while layer:
+        nxt = []
+        for g, nodes in layer:
+            if found(nodes):
+                word = []
+                while g:
+                    g, label = links[g]
+                    word.append(label)
+                return "".join(reversed(word))
+            for label in labels:
+                fresh = _add_new(seen, step(nodes, label))
+                if fresh:
+                    nxt.append((len(links), fresh))
+                    links.append((g, label))
+        layer = nxt
+    return None
+
+
 def decide_intreg_sequential_string_eq(
     a: Dfa, alphabet: Iterable[str], pad_symbol: str
 ) -> tuple[bool, Optional[str]]:
     """Does L(a) contain a word u$u' whose sides have equal pad-erased
     images?  On success the second component is such a witness.
 
-    The product with the separator-shape automaton is split per state:
-    for every prefix state q, its separator successor q', and every
-    final, the languages before/after the split are erased and tested
-    for a common word by joint reachability.  Triples are tried in
-    sorted order and all tie-breaking is by smallest letter, so the
-    witness is deterministic.
+    The product P of `a` with the separator-shape automaton is split at
+    its separator moves, and pads become silent moves.  A prefix state q
+    with separator successor q' and a final qf fit when some erased word
+    v leads from the start to q and from q' to qf; one search over state
+    pairs per q' finds every fitting (q, qf).  The witness is fixed: the
+    first fitting (q, qf) in P's state order, v the least of the
+    shortest common erased words, and u and u' the least shortest words
+    of P, pads reinserted, whose erasure is v and which lead from the
+    start to q and from q' to qf.
     """
     sigma = frozenset(alphabet)
     for sym in sigma | {pad_symbol}:
@@ -110,195 +159,64 @@ def decide_intreg_sequential_string_eq(
         )
 
     product = intersect_dfa(a, _shape_dfa(a.alphabet, sigma | {pad_symbol}))
-    base = Nfa(
-        states=product.states,
-        alphabet=product.alphabet,
-        transitions=frozenset(
-            (src, sym, dst)
-            for (src, sym), dst in product.delta.items()
-            if sym != SEPARATOR
-        ),
-        start=product.start,
-        finals=frozenset(),
-    )
-    erased = erase_letters(base, {pad_symbol})
-    silent_next: dict[int, int] = {}
-    letter_step: dict[tuple[int, str], int] = {}
-    for src, label, dst in erased.transitions:
-        if label is None:
-            silent_next[src] = dst
-        else:
-            letter_step[(src, label)] = dst
-    letters = sorted(erased.alphabet - {SEPARATOR})
+    steps = frozenset((src, sym, dst) for (src, sym), dst in product.delta.items() if sym != SEPARATOR)
+    base = Nfa(product.states, product.alphabet - {SEPARATOR}, steps, product.start, product.finals)
+    t = erase_letters(base, {pad_symbol}).tables
+    co_reach = _reach(t.finals, t.pred)
+    # split points: the prefix states whose separator successor co-reaches
+    splits = sum(1 << q for q in range(product.states)
+                 if t.closures[product.delta[(q, SEPARATOR)]] & co_reach)
+    xs = _reach(splits, t.pred)
 
-    # silent closure of each state: the pad chain until it cycles
-    chain_set: list[tuple[int, ...]] = []
-    for s in range(product.states):
-        out = [s]
-        seen = {s}
-        while (nxt := silent_next[s]) not in seen:
-            out.append(nxt)
-            seen.add(nxt)
-            s = nxt
-        chain_set.append(tuple(sorted(seen)))
+    def pair_step(pairs: dict[int, int], syms: Iterable[str]) -> dict[int, int]:
+        """Pairs (x, y) as {x: y-bitmask}, one common letter of `syms`
+        further; x must still reach a split point and y a final."""
+        out: dict[int, int] = {}
+        for sym in syms:
+            row = t.moves[sym]
+            for x, ys in pairs.items():
+                ys = image(ys, row) & co_reach
+                if ys:
+                    for x2 in _bits(row[x] & xs):
+                        out[x2] = out.get(x2, 0) | ys
+        return out
 
-    # states usable as the before-separator split point
-    s_reach = {product.start}
-    todo = [product.start]
-    while todo:
-        s = todo.pop()
-        for sym in letters:
-            t = letter_step[(s, sym)]
-            if t not in s_reach:
-                s_reach.add(t)
-                todo.append(t)
-        t = silent_next[s]
-        if t not in s_reach:
-            s_reach.add(t)
-            todo.append(t)
+    def start_pairs(qp: int) -> dict[int, int]:
+        return {x: t.closures[qp] & co_reach for x in _bits(t.start & xs)}
 
-    # states from which some final is reachable without crossing the separator
-    backward: dict[int, set[int]] = {}
-    for (src, _sym), dst in letter_step.items():
-        backward.setdefault(dst, set()).add(src)
-    for src, dst in silent_next.items():
-        backward.setdefault(dst, set()).add(src)
-    co_reach = set(product.finals)
-    todo = list(co_reach)
-    while todo:
-        s = todo.pop()
-        for r in backward.get(s, ()):
-            if r not in co_reach:
-                co_reach.add(r)
-                todo.append(r)
+    # every pair the two sides reach on a common erased word, per q'
+    reached: dict[int, dict[int, int]] = {}
 
-    # joint reachability of (before-split, after-split) state pairs on a
-    # common erased word, cached per separator successor
-    reach_cache: dict[int, dict[tuple[int, int], int]] = {}
+    def pairs_from(qp: int) -> dict[int, int]:
+        if qp not in reached:
+            seen = start_pairs(qp)
+            todo = dict(seen)
+            while todo:
+                todo = _add_new(seen, pair_step(todo, t.symbols))
+            reached[qp] = seen
+        return reached[qp]
 
-    def reached_from(qp: int) -> dict[tuple[int, int], int]:
-        if qp in reach_cache:
-            return reach_cache[qp]
-        dist = {
-            (x, y): 0
-            for x in chain_set[product.start]
-            for y in chain_set[qp]
-        }
-        frontier = sorted(dist)
-        level = 0
-        while frontier:
-            level += 1
-            nxt = []
-            for x, y in frontier:
-                for sym in letters:
-                    xs = letter_step[(x, sym)]
-                    ys = letter_step[(y, sym)]
-                    for x2 in chain_set[xs]:
-                        for y2 in chain_set[ys]:
-                            if (x2, y2) not in dist:
-                                dist[(x2, y2)] = level
-                                nxt.append((x2, y2))
-            frontier = nxt
-        reach_cache[qp] = dist
-        return dist
-
-    # per-letter predecessors, with the silent closure folded in
-    pre_state: dict[tuple[str, int], list[int]] = {}
-    for s in range(product.states):
-        for sym in letters:
-            for t in chain_set[letter_step[(s, sym)]]:
-                pre_state.setdefault((sym, t), []).append(s)
-
-    def least_common_word(qp: int, goal: tuple[int, int], length: int) -> str:
-        rem = {goal: 0}
-        frontier = [goal]
-        level = 0
-        while frontier and level < length:
-            level += 1
-            nxt = []
-            for x2, y2 in frontier:
-                for sym in letters:
-                    for x in pre_state.get((sym, x2), ()):
-                        for y in pre_state.get((sym, y2), ()):
-                            if (x, y) not in rem:
-                                rem[(x, y)] = level
-                                nxt.append((x, y))
-            frontier = nxt
-        current = {
-            p
-            for p in (
-                (x, y)
-                for x in chain_set[product.start]
-                for y in chain_set[qp]
-            )
-            if rem.get(p) == length
-        }
-        word = []
-        for k in range(length, 0, -1):
-            for sym in letters:
-                following = set()
-                for x, y in current:
-                    xs = letter_step[(x, sym)]
-                    ys = letter_step[(y, sym)]
-                    for x2 in chain_set[xs]:
-                        for y2 in chain_set[ys]:
-                            if rem.get((x2, y2)) == k - 1:
-                                following.add((x2, y2))
-                if following:
-                    word.append(sym)
-                    current = following
-                    break
-        return "".join(word)
-
-    inv_silent: dict[int, list[int]] = {}
-    for s, dst in silent_next.items():
-        inv_silent.setdefault(dst, []).append(s)
-    inv_letter: dict[tuple[str, int], list[int]] = {}
-    for (s, sym), dst in letter_step.items():
-        inv_letter.setdefault((sym, dst), []).append(s)
-
-    def lift(word: str, start_state: int, goal_state: int) -> str:
-        """Shortest preimage of `word` between the given states, pads
-        reinserted, smallest letter first on ties."""
-        rem = {(goal_state, len(word)): 0}
-        frontier = [(goal_state, len(word))]
-        while frontier:
-            nxt = []
-            for s2, pos in frontier:
-                level = rem[(s2, pos)] + 1
-                preds = [(s, pos) for s in inv_silent.get(s2, ())]
-                if pos > 0:
-                    preds += [(s, pos - 1) for s in inv_letter.get((word[pos - 1], s2), ())]
-                for p in preds:
-                    if p not in rem:
-                        rem[p] = level
-                        nxt.append(p)
-            frontier = nxt
-        node = (start_state, 0)
-        out = []
-        for k in range(rem[node], 0, -1):
-            s, pos = node
-            options = [(pad_symbol, (silent_next[s], pos))]
-            if pos < len(word):
-                options.append((word[pos], (letter_step[(s, word[pos])], pos + 1)))
-            options.sort()
-            for letter, nxt_node in options:
-                if rem.get(nxt_node) == k - 1:
-                    out.append(letter)
-                    node = nxt_node
-                    break
-        return "".join(out)
-
-    for q in sorted(s_reach):
+    for q in _bits(splits):
         qp = product.delta[(q, SEPARATOR)]
-        if qp not in co_reach:
-            continue
-        for qf in sorted(product.finals):
-            dist = reached_from(qp)
-            if (q, qf) not in dist:
-                continue
-            v = least_common_word(qp, (q, qf), dist[(q, qf)])
-            u = lift(v, product.start, q)
-            u2 = lift(v, qp, qf)
-            return True, u + SEPARATOR + u2
-    return False, None
+        ends = pairs_from(qp).get(q, 0) & t.finals
+        if ends:
+            break
+    else:
+        return False, None
+    qf = next(_bits(ends))
+    v = _least_word(start_pairs(qp), t.symbols, pair_step,
+                    lambda pairs: pairs.get(q, 0) >> qf & 1)
+    moves = product.tables.moves
+
+    def lift_step(nodes: dict[int, int], sym: str) -> dict[int, int]:
+        """(position in v, state) nodes as {position: state bitmask}."""
+        if sym == pad_symbol:
+            return {pos: image(states, moves[sym]) for pos, states in nodes.items()}
+        return {pos + 1: image(states, moves[sym])
+                for pos, states in nodes.items() if pos < len(v) and v[pos] == sym}
+
+    def lift(source: int, goal: int) -> str:
+        return _least_word({0: 1 << source}, sorted(set(v) | {pad_symbol}), lift_step,
+                           lambda nodes: nodes.get(len(v), 0) >> goal & 1)
+
+    return True, lift(product.start, q) + SEPARATOR + lift(qp, qf)

@@ -18,7 +18,7 @@ tiles are ';'-separated, 'w,n,e,s' each; coloring entries are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from ..errors import MalformedInputError, MalformedWordError, ResourceLimitError
 
@@ -159,9 +159,7 @@ def solve_bounded_tiling(instance: TilingInstance) -> Optional[Tiling]:
 
     grid = [[-1] * n for _ in range(n)]
 
-    def place(cell: int) -> bool:
-        if cell == n * n:
-            return True
+    def candidates(cell: int) -> Iterator[int]:
         j, i = divmod(cell, n)
         west = instance.l[j] if i == 0 else tiles[grid[j][i - 1]].e
         south = instance.b[i] if j == 0 else tiles[grid[j - 1][i]].n
@@ -171,15 +169,22 @@ def solve_bounded_tiling(instance: TilingInstance) -> Optional[Tiling]:
                 continue
             if j == n - 1 and tile.n != instance.t[i]:
                 continue
-            grid[j][i] = idx
-            if place(cell + 1):
-                return True
-        grid[j][i] = -1
-        return False
+            yield idx
 
-    if not place(0):
-        return None
-    return Tiling(n, n, tuple(tuple(row) for row in grid))
+    # untried candidates of each placed cell and of the next one: an
+    # explicit stack, so a wide grid cannot exhaust the recursion limit
+    untried = [candidates(0)]
+    while untried:
+        cell = len(untried) - 1
+        j, i = divmod(cell, n)
+        grid[j][i] = next(untried[-1], -1)
+        if grid[j][i] < 0:
+            untried.pop()
+        elif cell + 1 == n * n:
+            return Tiling(n, n, tuple(tuple(row) for row in grid))
+        else:
+            untried.append(candidates(cell + 1))
+    return None
 
 
 def solve_corridor_tiling(

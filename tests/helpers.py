@@ -33,13 +33,13 @@ def chain_dfa(word, alphabet):
     return Dfa(n + 2, frozenset(alphabet), delta, 0, frozenset({n}))
 
 
-def random_dfa(rng, alphabet, max_states=6):
-    n = rng.randint(1, max_states)
+def random_dfa(rng, alphabet, max_states=6, min_states=1, final_share=0.5):
+    n = rng.randint(min_states, max_states)
     delta = {}
     for s in range(n):
         for sym in alphabet:
             delta[(s, sym)] = rng.randrange(n)
-    finals = frozenset(s for s in range(n) if rng.random() < 0.5)
+    finals = frozenset(s for s in range(n) if rng.random() < final_share)
     return Dfa(n, frozenset(alphabet), delta, 0, finals)
 
 

@@ -252,6 +252,19 @@ def test_solve_tiling(capsys, files):
     assert code == 2 and "variant" in doc["error"]
 
 
+def test_solve_a_wide_bounded_tiling(capsys, tmp_path):
+    # one tile per cell: 1600 cells, past the default recursion limit
+    white = ["w"] * 40
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "colors": ["w"], "white": None, "blank": None, "accept": None,
+        "tiles": [{"w": "w", "n": "w", "e": "w", "s": "w"}],
+        "variant": "bounded", "width": 40, "t": white, "b": white, "l": white, "r": white,
+    }))
+    code, doc = run(capsys, "solve", "bounded-tiling", "--in", str(path))
+    assert code == 0 and doc == {"width": 40, "height": 40, "grid": [[0] * 40] * 40}
+
+
 # ---------------------------------------------------------------------------
 # reduce
 
@@ -360,6 +373,12 @@ def test_usage_errors_emit_json(capsys):
         assert code == 2 and "error" in doc
 
 
+def test_help_is_json(capsys):
+    for argv in (["-h"], ["check", "-h"], ["reduce", "--help"], ["solve", "bpcp", "-h"]):
+        code, doc = run_fatal(capsys, *argv)
+        assert code == 0 and set(doc) == {"help"} and doc["help"].startswith("usage: regint")
+
+
 # ---------------------------------------------------------------------------
 # loaders: mistyped fields are malformed input, never a traceback
 
@@ -397,6 +416,7 @@ FIELDS = ("kind", "alphabet", "states", "start", "finals", "transitions", "from"
           "input", "tape", "blank", "accept", "delta", "read", "write", "move", "a", "b", "k",
           "colors", "tiles", "w", "n", "e", "s", "white", "variant", "width", "l", "t", "r")
 LETTERS = "ab01_$#;,.()|*~:qw"
+HELP_FLAGS = ("-h", "--help")
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 4) | st.text(LETTERS, max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(FIELDS), inner, max_size=3),
@@ -477,6 +497,8 @@ def invocations(draw):
         argv.insert(0, "--deterministic")
     if draw(st.integers(0, 9)) == 0:
         del argv[draw(st.integers(0, len(argv) - 1))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(HELP_FLAGS)))
     return argv, draw(documents(SEEDS.get(target, DFAS)))
 
 
@@ -499,6 +521,8 @@ def test_every_invocation_keeps_the_output_contract(tmp_path, invocation):
     doc = json.loads(out.getvalue())  # exactly one JSON document
     assert err.getvalue() == ""
     assert code in (0, 1, 2, 3)
+    if code == 0 and any(flag in argv for flag in HELP_FLAGS):
+        assert isinstance(doc, dict) and set(doc) == {"help"}
     if code == 1:
         assert doc == "none" or any(isinstance(doc, dict) and doc.items() >= v.items()
                                     for v in VERDICTS_OF_EXIT_1)

@@ -6,7 +6,9 @@ grammar machinery; they are themselves grounded against literal
 enumeration on a separate seed before being trusted at scale.
 """
 
+import hashlib
 import random
+import time
 
 import pytest
 
@@ -135,10 +137,10 @@ def test_unary_oracle_grounded_against_enumeration():
 # Decider vs oracle at scale
 
 
-def sequential_agreement_run(count, seed):
+def sequential_agreement_run(count, seed, min_states=1, max_states=6):
     rng = random.Random(seed)
     for i in range(count):
-        d = random_dfa(rng, "ab_$")
+        d = random_dfa(rng, "ab_$", max_states, min_states)
         # if any member exists, one exists within twice the squared
         # product size plus a constant (pair-pumping on the oracle graph)
         bound = 2 * ((d.states * 3) ** 2 + 1) + 1
@@ -167,6 +169,10 @@ def test_sequential_decider_agrees_with_oracle():
     assert sequential_agreement_run(60, 20240817) == 60
 
 
+def test_sequential_decider_agrees_with_oracle_on_larger_dfas():
+    assert sequential_agreement_run(40, 8675309, min_states=10, max_states=30) == 40
+
+
 def test_unary_decider_agrees_with_oracle():
     assert unary_agreement_run(60, 31337) == 60
 
@@ -185,3 +191,54 @@ def test_sequential_decider_ignores_injected_pads():
         f1, _ = decide_intreg_sequential_string_eq(d, "ab", "_")
         f2, _ = decide_intreg_sequential_string_eq(padded, "ab", "_")
         assert f1 == f2, i
+
+
+
+def cycles_dfa(p, q):
+    """u$u' over a, _, $ where |u| is a positive multiple of p and |u'| a
+    multiple of q; pads loop on every live state."""
+    alphabet = frozenset("a_$")
+    dead = p + 1 + q
+    delta = {(s, sym): dead for s in range(dead + 1) for sym in alphabet}
+    for s in range(p):
+        delta[(s, "a")] = s + 1
+    delta[(p, "a")] = 1
+    delta[(p, "$")] = p + 1
+    for j in range(q):
+        delta[(p + 1 + j, "a")] = p + 1 + (j + 1) % q
+    for s in range(dead):
+        delta[(s, "_")] = s
+    return Dfa(dead + 1, alphabet, delta, 0, frozenset({p + 1}))
+
+
+def test_sequential_witness_for_coprime_cycles_is_long():
+    # the least common erased word is a^(p*q): 39,800 letters a side, so
+    # a witness search that copied the word per layer would be quadratic
+    p, q = 199, 200
+    start = time.perf_counter()
+    flag, wit = decide_intreg_sequential_string_eq(cycles_dfa(p, q), "a", "_")
+    elapsed = time.perf_counter() - start
+    assert flag is True and len(wit) == 2 * p * q + 1
+    assert wit == "a" * (p * q) + "$" + "a" * (p * q)
+    assert elapsed < 10.0, elapsed
+
+# (DFA alphabet, base alphabet): with and without a letter outside both
+WITNESS_CASES = (("ab_$", "ab"), ("ab_$c", "ab"), ("a_$", "a"), ("abc_$", "abc"))
+# sha256 of the (verdict, witness) reprs below: it pins the witness
+# definition (first (q, qf) in product order, least shortest common
+# erased word, least shortest pad lifts) on DFAs of up to 25 states
+WITNESS_DIGEST = "8307f9cc0b46eb7f744a38076032e9ee3ec814f26ecce905888ee05d53856627"
+
+
+def test_sequential_witnesses_are_pinned():
+    rng = random.Random(4242)
+    digest = hashlib.sha256()
+    verdicts = 0
+    for i in range(500):
+        alphabet, sigma = WITNESS_CASES[i % len(WITNESS_CASES)]
+        d = random_dfa(rng, alphabet, max_states=25, final_share=0.15)
+        result = decide_intreg_sequential_string_eq(d, sigma, "_")
+        verdicts += result[0]
+        digest.update(repr(result).encode())
+    assert verdicts == 379
+    assert digest.hexdigest() == WITNESS_DIGEST
