@@ -70,24 +70,25 @@ def check_bpcp(instance: PcpInstance, k: int) -> Optional[BpcpSolution]:
             return -1, right[len(left):]
         return None
 
-    def dfs(prefix: list[int], ahead: int, rem: str, remaining: int) -> Optional[tuple[int, ...]]:
-        if remaining == 0:
-            return tuple(x + 1 for x in prefix) if ahead == 0 else None
-        for i in range(len(pairs)):
+    for depth in range(1, k + 1):
+        # (ahead, rem, untried indices) before each chosen position: an
+        # explicit stack, so a large k cannot exhaust the recursion limit
+        indices = [0] * depth
+        stack = [(0, "", iter(range(len(pairs))))]
+        while stack:
+            ahead, rem, untried = stack[-1]
+            i = next(untried, None)
+            if i is None:
+                stack.pop()
+                continue
             nxt = extend(ahead, rem, i)
             if nxt is None:
                 continue
-            prefix.append(i)
-            found = dfs(prefix, nxt[0], nxt[1], remaining - 1)
-            prefix.pop()
-            if found:
-                return found
-        return None
-
-    for depth in range(1, k + 1):
-        found = dfs([], 0, "", depth)
-        if found:
-            return BpcpSolution(found, k)
+            indices[len(stack) - 1] = i + 1
+            if len(stack) < depth:
+                stack.append((*nxt, iter(range(len(pairs)))))
+            elif nxt[0] == 0:
+                return BpcpSolution(tuple(indices), k)
     return None
 
 

@@ -16,15 +16,15 @@ order.  encode_tm rejects machines not presented in that layout.
 
 from __future__ import annotations
 
-from collections import deque
+import re
 from dataclasses import dataclass
 
 from ..errors import MalformedInputError, MalformedWordError, ResourceLimitError
 
-MOVES = "LRS"
-# 1-based wire codes for head moves.
+# 1-based wire codes for head moves, and the head shift of each move.
 _MOVE_CODE = {"L": 1, "R": 2, "S": 3}
 _MOVE_NAME = {1: "L", 2: "R", 3: "S"}
+_SHIFT = {"L": -1, "R": 1, "S": 0}
 
 # (from state, read symbol, to state, written symbol, move)
 TmTransition = tuple[int, str, int, str, str]
@@ -111,54 +111,20 @@ def encode_tm(tm: TmSpec) -> str:
     return header + "11".join(chunks)
 
 
-class _BitCursor:
-    def __init__(self, bits: str):
-        self.bits = bits
-        self.pos = 0
-        for i, c in enumerate(bits):
-            if c not in "01":
-                raise MalformedWordError(f"not a bit string (at position {i})")
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.bits)
-
-    def zeros(self) -> int:
-        start = self.pos
-        while not self.eof() and self.bits[self.pos] == "0":
-            self.pos += 1
-        if self.pos == start:
-            raise MalformedWordError(f"expected a 0-run (at position {start})")
-        return self.pos - start
-
-    def ones(self, count: int) -> None:
-        for _ in range(count):
-            if self.eof() or self.bits[self.pos] != "1":
-                raise MalformedWordError(f"expected '1' (at position {self.pos})")
-            self.pos += 1
+# header 0^S 1 0^T 11, then transitions 0^i 1 0^j 1 0^k 1 0^l 1 0^m joined by 11
+_ENCODING = re.compile(r"0+10+11(?:(?:0+1){4}0+(?:11(?:0+1){4}0+)*)?")
 
 
 def decode_tm(bits: str) -> TmSpec:
-    """Inverse of encode_tm; raises MalformedWordError with a position on
-    any deviation from the scheme or an invalid resulting machine."""
-    cur = _BitCursor(bits)
-    states = cur.zeros()
-    cur.ones(1)
-    tape_size = cur.zeros()
-    cur.ones(2)
-    transitions = []
-    while not cur.eof():
-        if transitions:
-            cur.ones(2)
-        fields = []
-        for k in range(5):
-            if k:
-                cur.ones(1)
-            fields.append(cur.zeros())
-        transitions.append(fields)
-
+    """Inverse of encode_tm; raises MalformedWordError on any deviation
+    from the scheme or an invalid resulting machine."""
+    if not _ENCODING.fullmatch(bits):
+        raise MalformedWordError("not a machine encoding 0^S 1 0^T 11 (transitions joined by 11)")
+    states, tape_size, *fields = [len(run) for run in bits.split("1") if run]
     tape = ("_",) + tuple(str(i) for i in range(tape_size - 1))
     decoded: list[TmTransition] = []
-    for src, read, dst, write, move in transitions:
+    for t in range(0, len(fields), 5):
+        src, read, dst, write, move = fields[t:t + 5]
         if src > states or dst > states:
             raise MalformedWordError(f"transition state index out of range 1..{states}")
         if read > tape_size or write > tape_size:
@@ -189,9 +155,7 @@ class MachineWord:
     machine_encoding: str
     x: str
     pad_count: int
-
-    def tm(self) -> TmSpec:
-        return decode_tm(self.machine_encoding)
+    tm: TmSpec
 
 
 def parse_machine_word(word: str) -> MachineWord:
@@ -206,7 +170,7 @@ def parse_machine_word(word: str) -> MachineWord:
             raise MalformedWordError(f"input symbol {c!r} not in the machine's input alphabet")
     if pads.count("a") != len(pads):
         raise MalformedWordError("padding must be a run of 'a'")
-    return MachineWord(encoding, x, len(pads))
+    return MachineWord(encoding, x, len(pads), tm)
 
 
 def member_machine_language(word: str, mode: str, max_configs: int = 200_000) -> bool:
@@ -222,118 +186,66 @@ def member_machine_language(word: str, mode: str, max_configs: int = 200_000) ->
         mw = parse_machine_word(word)
     except MalformedWordError:
         return False
-    tm = mw.tm()
+    tm, x, n = mw.tm, mw.x, mw.pad_count
     if mode == "NP":
-        return _accepts_in_steps(tm, mw.x, mw.pad_count, max_configs)
+        width = max(len(x), n + 1)  # the head cannot pass cell n+1 in n steps
+        tape = tuple((x + tm.blank * width)[:width])
+        return _accepts(tm, tape, tape, n, max_configs, mode)
     if mode == "PSPACE":
-        return _accepts_in_cells(tm, mw.x, mw.pad_count, max_configs)
-    if mw.pad_count < 1:
+        # the head stays on the first n cells, and the cells past them keep
+        # their initial content, so the tape holds only those n
+        if n < 1:
+            return tm.start == tm.accept  # no cell for the head to stand on
+        tape = tuple((x + tm.blank * n)[:n])
+        return _accepts(tm, tape, tape, None, max_configs, mode)
+    if n < 1:
         return False  # log of 0 undefined; such words are non-members
-    return _accepts_reading_positions(tm, mw.x, mw.pad_count.bit_length() - 1, max_configs)
+    # Reads start at cell 1, so the cells read so far are always an
+    # interval [1, k]: None marks the cells past it, and the one cell past
+    # the budget of floor(log2 n) reads has no symbol to read.
+    cells = n.bit_length() - 1
+    fresh = tuple((x + tm.blank * cells)[:cells]) + (None,)
+    return _accepts(tm, (None,) * (cells + 1), fresh, None, max_configs, mode)
 
 
-def _accepts_in_steps(tm: TmSpec, x: str, n: int, max_configs: int) -> bool:
-    """Nondeterministic acceptance within at most n steps."""
+def _accepts(
+    tm: TmSpec, tape0: tuple, fresh: tuple, steps: int | None, max_configs: int, mode: str
+) -> bool:
+    """Layered breadth-first search over configurations (state, head,
+    tape) from (start, 0, tape0) for a run into the accept state within
+    `steps` steps (None: no step bound).
+
+    The head stays on the tape.  A None cell has not been read yet
+    (NL mode): it reads as its `fresh` symbol, and the write that
+    follows every read marks it read.  A position merely parked on is
+    not read.  The frontier is a list, so configurations are visited in
+    one fixed order and the cap is hit at the same point on every run.
+    """
     if tm.start == tm.accept:
         return True
     moves = tm.moves_from()
-    width = max(len(x), n + 1)  # the head cannot pass cell n+1 in n steps
-    tape0 = tuple((x + tm.blank * width)[:width])
-    frontier = {(tm.start, 0, tape0)}
+    frontier = [(tm.start, 0, tape0)]
     seen = set(frontier)
-    for _ in range(n):
-        nxt = set()
-        for state, head, tape in frontier:
-            for _, _, dst, write, move in moves.get((state, tape[head]), ()):
-                new_head = head + {"L": -1, "R": 1, "S": 0}[move]
-                if new_head < 0:
+    depth = 0
+    while frontier and depth != steps:
+        depth += 1
+        layer, frontier = frontier, []
+        for state, head, tape in layer:
+            symbol = tape[head]
+            if symbol is None:
+                symbol = fresh[head]
+            for _, _, dst, write, move in moves.get((state, symbol), ()):
+                new_head = head + _SHIFT[move]
+                if not 0 <= new_head < len(tape):
                     continue
-                cfg = (dst, new_head, tape[:head] + (write,) + tape[head + 1:])
                 if dst == tm.accept:
                     return True
+                cfg = (dst, new_head, tape[:head] + (write,) + tape[head + 1:])
                 if cfg not in seen:
                     seen.add(cfg)
-                    nxt.add(cfg)
+                    frontier.append(cfg)
                     if len(seen) > max_configs:
-                        raise ResourceLimitError("NP-mode configuration cap exceeded")
-        if not nxt:
-            return False
-        frontier = nxt
-    return False
-
-
-def _accepts_in_cells(tm: TmSpec, x: str, n: int, max_configs: int) -> bool:
-    """Acceptance with the head confined to the first n cells.
-
-    Cells past n keep their initial content forever (the head cannot
-    reach them), so configurations track only the confined prefix.
-    """
-    if tm.start == tm.accept:
-        return True
-    if n < 1:
-        return False  # no readable cell, and the start is not accepting
-    moves = tm.moves_from()
-    tape0 = tuple((x + tm.blank * n)[:n])
-    start = (tm.start, 0, tape0)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        state, head, tape = queue.popleft()
-        for _, _, dst, write, move in moves.get((state, tape[head]), ()):
-            new_head = head + {"L": -1, "R": 1, "S": 0}[move]
-            if not 0 <= new_head < n:
-                continue
-            cfg = (dst, new_head, tape[:head] + (write,) + tape[head + 1:])
-            if dst == tm.accept:
-                return True
-            if cfg not in seen:
-                seen.add(cfg)
-                queue.append(cfg)
-                if len(seen) > max_configs:
-                    raise ResourceLimitError("PSPACE-mode configuration cap exceeded")
-    return False
-
-
-def _accepts_reading_positions(tm: TmSpec, x: str, cells: int, max_configs: int) -> bool:
-    """Acceptance reading at most `cells` distinct tape positions.
-
-    A position counts as read once a transition consumes its symbol;
-    merely parking the head there does not.  Reads start at cell 1 and
-    the read set stays a contiguous interval [1, k], so configurations
-    carry that window's contents plus the head position.
-    """
-    if tm.start == tm.accept:
-        return True
-    if cells < 1:
-        return False  # no reads allowed, so no transition can ever fire
-    moves = tm.moves_from()
-
-    def initial(pos: int) -> str:
-        return x[pos] if pos < len(x) else tm.blank
-
-    # window holds the symbols of the read interval [0, len(window)-1]
-    start = (tm.start, 0, ())
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        state, head, window = queue.popleft()
-        symbol = window[head] if head < len(window) else initial(head)
-        for _, _, dst, write, move in moves.get((state, symbol), ()):
-            grown = window if head < len(window) else window + (initial(head),)
-            if len(grown) > cells:
-                continue
-            written = grown[:head] + (write,) + grown[head + 1:]
-            new_head = head + {"L": -1, "R": 1, "S": 0}[move]
-            if new_head < 0:
-                continue
-            cfg = (dst, new_head, written)
-            if dst == tm.accept:
-                return True
-            if cfg not in seen:
-                seen.add(cfg)
-                queue.append(cfg)
-                if len(seen) > max_configs:
-                    raise ResourceLimitError("NL-mode configuration cap exceeded")
+                        raise ResourceLimitError(f"{mode}-mode configuration cap exceeded")
     return False
 
 

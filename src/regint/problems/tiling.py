@@ -211,26 +211,23 @@ def solve_corridor_tiling(
         by_sw.setdefault((tile.s, tile.w), []).append(idx)
     budget = [max_nodes]
 
-    def rows_over(south: tuple[str, ...]):
-        row: list[int] = []
-
-        def extend(i: int):
-            if i == n:
+    def rows_over(south: tuple[str, ...]) -> Iterator[tuple[int, ...]]:
+        # untried candidates of each placed column and of the next one: an
+        # explicit stack, so a wide corridor cannot exhaust the recursion limit
+        row = [-1] * n
+        untried = [iter(by_s.get(south[0], ()))]
+        while untried:
+            i = len(untried) - 1
+            row[i] = next(untried[-1], -1)
+            if row[i] < 0:
+                untried.pop()
+            elif i + 1 < n:
+                untried.append(iter(by_sw.get((south[i + 1], tiles[row[i]].e), ())))
+            else:
                 budget[0] -= 1
                 if budget[0] < 0:
                     raise ResourceLimitError("corridor row cap exceeded")
                 yield tuple(row)
-                return
-            if i == 0:
-                candidates = by_s.get(south[0], ())
-            else:
-                candidates = by_sw.get((south[i], tiles[row[i - 1]].e), ())
-            for idx in candidates:
-                row.append(idx)
-                yield from extend(i + 1)
-                row.pop()
-
-        yield from extend(0)
 
     parent: dict[tuple[str, ...], tuple[Optional[tuple[str, ...]], tuple[int, ...]]] = {}
     frontier: list[tuple[str, ...]] = []

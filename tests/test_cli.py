@@ -8,6 +8,7 @@ every path, including usage errors, and verdicts ride the exit code
 import contextlib
 import io
 import json
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -265,6 +266,27 @@ def test_solve_a_wide_bounded_tiling(capsys, tmp_path):
     assert code == 0 and doc == {"width": 40, "height": 40, "grid": [[0] * 40] * 40}
 
 
+def test_solve_a_wide_corridor_tiling(capsys, tmp_path):
+    # one row of 1100 columns, past the default recursion limit
+    white = ["w"] * 1100
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "colors": ["w"], "white": None, "blank": None, "accept": None,
+        "tiles": [{"w": "w", "n": "w", "e": "w", "s": "w"}],
+        "variant": "corridor", "width": 1100, "t": white, "b": white, "l": None, "r": None,
+    }))
+    code, doc = run(capsys, "solve", "corridor-tiling", "--in", str(path))
+    assert code == 0 and doc == {"height": 1, "width": 1100, "grid": [[0] * 1100]}
+
+
+def test_solve_bpcp_with_a_bound_past_the_recursion_limit(capsys, tmp_path):
+    # b always runs ahead of a, so every index sequence up to k is searched
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"alphabet": ["a"], "a": ["a"], "b": ["aa"],
+                                "k": sys.getrecursionlimit() + 100}))
+    assert run(capsys, "solve", "bpcp", "--in", str(path)) == (1, "none")
+
+
 # ---------------------------------------------------------------------------
 # reduce
 
@@ -470,13 +492,34 @@ def documents(draw, seeds):
 
 
 @st.composite
+def machine_words(draw):
+    """M2's machine word with a few characters flipped, deleted or inserted."""
+    word = list(f"{M2_ENC}$01$aa")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(word) - 1))
+        edit = draw(st.sampled_from(("flip", "delete", "insert")))
+        if edit == "flip":
+            word[i] = draw(st.sampled_from("01$a"))
+        elif edit == "delete":
+            del word[i]
+        else:
+            word.insert(i, draw(st.sampled_from("01$a")))
+    return "".join(word)
+
+
+@st.composite
 def invocations(draw):
     """(argv, text of the input file that "{in}" in argv names)."""
     problems = st.sampled_from(sorted(PROBLEMS) + ["nope"])
     sub = draw(st.sampled_from(("check", "decide", "search", "reduce", "solve")))
     target = sub
     if sub == "check":
-        argv = ["check", "--problem", draw(problems), "--word", draw(st.text(LETTERS, max_size=12))]
+        problem = draw(problems)
+        if problem.startswith("machine-") and draw(st.booleans()):
+            word = draw(machine_words())
+        else:
+            word = draw(st.text(LETTERS, max_size=12))
+        argv = ["check", "--problem", problem, "--word", word]
     elif sub == "decide":
         argv = ["decide", "--problem", draw(problems), "--dfa", "{in}"]
     elif sub == "search":

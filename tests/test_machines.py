@@ -1,8 +1,14 @@
 """Turing machine encoding and the three resource-bounded acceptance
 modes, checked against runs traced by hand."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import regint
 from regint.errors import MalformedInputError, MalformedWordError, ResourceLimitError
 from regint.problems import (
     TmSpec,
@@ -69,7 +75,16 @@ def test_encode_rejects_noncanonical_layouts():
 
 
 def test_decode_rejects_malformed_bit_strings():
-    for bad in ("", "2", "111", "001", "0010001", encode_tm(M2) + "0"):
+    enc = encode_tm(M2)
+    header, first, second = "00100011", "010010100100", "0100010010001000"
+    assert enc == header + first + "11" + second
+    for bad in ("", "2", "111", "001", "0010001", enc + "0",
+                enc + "11",  # trailing separator after a transition
+                header + "0101010",  # a transition of 4 zero-runs
+                header + "01010101010",  # a transition of 6 zero-runs
+                header + first + "111" + second,  # three 1s between transitions
+                "100011",  # empty first zero-run
+                enc + "\n", "0100011 "):
         with pytest.raises(MalformedWordError):
             decode_tm(bad)
 
@@ -84,7 +99,7 @@ def test_parse_machine_word_shape():
     assert mw.machine_encoding == enc
     assert mw.x == "01"
     assert mw.pad_count == 4
-    assert mw.tm() == M2
+    assert mw.tm == M2
 
 
 def test_parse_machine_word_rejections():
@@ -122,6 +137,8 @@ def _word(tm, x, n):
 def test_accepting_start_state_accepts_any_input(mode):
     assert member_machine_language(_word(ACCEPT_NOW, "0", 2), mode) is True
     assert member_machine_language(_word(ACCEPT_NOW, "", 2), mode) is True
+    # header only: 1 state, 3 tape symbols, no moves; state 1 accepts
+    assert member_machine_language("0100011$01$aa", mode) is True
 
 
 @pytest.mark.parametrize("mode", ["NL", "NP", "PSPACE"])
@@ -167,6 +184,26 @@ def test_np_mode_is_monotone_in_n():
 def test_configuration_cap_raises_instead_of_guessing():
     with pytest.raises(ResourceLimitError):
         member_machine_language(_word(M2, "01", 8), "NP", max_configs=1)
+
+
+def test_answer_at_the_cap_does_not_depend_on_the_hash_seed():
+    # at the cap the answer rests on the order configurations are visited
+    # in: this word is accepted in some NP orders and hits the cap in others
+    word = ("000010001101010001001000110101000010001001101001000100010011010001000010010"
+            "001100010010100010110001001000100010011000010100100100$$aaaaaaaa")
+    script = ("from regint.errors import ResourceLimitError\n"
+              "from regint.problems import member_machine_language\n"
+              "try:\n"
+              f"    print(member_machine_language({word!r}, 'NP', 3))\n"
+              "except ResourceLimitError:\n"
+              "    print('cap')\n")
+    src = str(Path(regint.__file__).parents[1])  # the package under test
+    outcomes = {
+        subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                       env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}).stdout
+        for seed in range(6)
+    }
+    assert len(outcomes) == 1, outcomes
 
 
 # ---------------------------------------------------------------------------
