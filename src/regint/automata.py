@@ -71,6 +71,30 @@ class RegexAst:
     alphabet: frozenset[str]
 
 
+class _Group:
+    """A group being parsed: the alternation of its closed branches, the
+    concatenation of the open branch, and the open branch's last atom,
+    which a following star applies to."""
+
+    def __init__(self, opening: Optional[int]):
+        self.opening = opening
+        self.alt: Optional[RegexNode] = None
+        self.cat: Optional[RegexNode] = None
+        self.last: Optional[RegexNode] = None
+
+    def push(self, atom: RegexNode) -> None:
+        if self.last is not None:
+            self.cat = self.last if self.cat is None else Concat(self.cat, self.last)
+        self.last = atom
+
+    def close_branch(self, pos: int) -> RegexNode:
+        """The group's node so far; an empty open branch is an error."""
+        if self.last is None:
+            raise RegexSyntaxError("empty expression", pos)
+        branch = self.last if self.cat is None else Concat(self.cat, self.last)
+        return branch if self.alt is None else Alt(self.alt, branch)
+
+
 def parse_regex(text: str, alphabet: Iterable[str]) -> RegexAst:
     """Parse `text` over `alphabet` into an ast.
 
@@ -86,69 +110,36 @@ def parse_regex(text: str, alphabet: Iterable[str]) -> RegexAst:
         if len(sym) != 1:
             raise AlphabetError(f"alphabet symbols must be single characters: {sym!r}")
 
-    pos = 0
-
-    def peek() -> Optional[str]:
-        return text[pos] if pos < len(text) else None
-
-    def parse_alt() -> RegexNode:
-        nonlocal pos
-        node = parse_cat()
-        while peek() == "|":
-            pos += 1
-            node = Alt(node, parse_cat())
-        return node
-
-    def parse_cat() -> RegexNode:
-        nonlocal pos
-        node = None
-        while True:
-            c = peek()
-            if c is None or c in "|)":
-                break
-            nxt = parse_rep()
-            node = nxt if node is None else Concat(node, nxt)
-        if node is None:
-            raise RegexSyntaxError("empty expression", pos)
-        return node
-
-    def parse_rep() -> RegexNode:
-        nonlocal pos
-        node = parse_atom()
-        while peek() == "*":
-            pos += 1
-            node = Star(node)
-        return node
-
-    def parse_atom() -> RegexNode:
-        nonlocal pos
-        c = peek()
+    # one left-to-right scan; each open group is a frame on `groups`,
+    # the whole text the bottom one, so nesting depth costs no recursion
+    groups = [_Group(None)]
+    for pos, c in enumerate(text):
+        group = groups[-1]
         if c == "(":
-            opening = pos
-            pos += 1
-            node = parse_alt()
-            if peek() != ")":
-                raise RegexSyntaxError("unclosed group", opening)
-            pos += 1
-            return node
-        if c == "~":
-            pos += 1
-            return EmptySet()
-        if c == "_":
-            pos += 1
-            return EmptyWord()
-        if c == "*":
-            raise RegexSyntaxError("star needs an operand", pos)
-        if c is None or c in "|)":
-            raise RegexSyntaxError("expected an atom", pos)
-        if c not in alpha:
+            groups.append(_Group(pos))
+        elif c == "|":
+            group.alt, group.cat, group.last = group.close_branch(pos), None, None
+        elif c == ")":
+            node = group.close_branch(pos)
+            if len(groups) == 1:
+                raise RegexSyntaxError("unexpected trailing input", pos)
+            groups.pop()
+            groups[-1].push(node)
+        elif c == "*":
+            if group.last is None:
+                raise RegexSyntaxError("star needs an operand", pos)
+            group.last = Star(group.last)
+        elif c == "~":
+            group.push(EmptySet())
+        elif c == "_":
+            group.push(EmptyWord())
+        elif c in alpha:
+            group.push(Lit(c))
+        else:
             raise RegexSyntaxError(f"literal {c!r} not in alphabet", pos)
-        pos += 1
-        return Lit(c)
-
-    root = parse_alt()
-    if pos != len(text):
-        raise RegexSyntaxError("unexpected trailing input", pos)
+    root = groups[-1].close_branch(len(text))
+    if len(groups) > 1:
+        raise RegexSyntaxError("unclosed group", groups[-1].opening)
     return RegexAst(root, alpha)
 
 
@@ -300,46 +291,56 @@ def regex_to_nfa(ast: RegexAst) -> Nfa:
     """Compile an ast to an NFA with silent moves (Thompson-style)."""
     transitions: list[Transition] = []
     counter = 0
-
-    def fresh() -> int:
-        nonlocal counter
-        counter += 1
-        return counter - 1
-
-    def build(node: RegexNode) -> tuple[int, int]:
-        if isinstance(node, EmptySet):
-            return fresh(), fresh()
-        if isinstance(node, EmptyWord):
-            s, t = fresh(), fresh()
-            transitions.append((s, None, t))
-            return s, t
-        if isinstance(node, Lit):
-            s, t = fresh(), fresh()
-            transitions.append((s, node.symbol, t))
-            return s, t
-        if isinstance(node, Concat):
-            l_in, l_out = build(node.left)
-            r_in, r_out = build(node.right)
-            transitions.append((l_out, None, r_in))
-            return l_in, r_out
-        if isinstance(node, Alt):
-            s, t = fresh(), fresh()
-            for part in (node.left, node.right):
-                p_in, p_out = build(part)
-                transitions.append((s, None, p_in))
-                transitions.append((p_out, None, t))
-            return s, t
-        if isinstance(node, Star):
-            s, t = fresh(), fresh()
-            c_in, c_out = build(node.child)
-            transitions.append((s, None, c_in))
-            transitions.append((c_out, None, t))
-            transitions.append((s, None, t))
-            transitions.append((c_out, None, c_in))
-            return s, t
-        raise TypeError(f"not a regex node: {node!r}")
-
-    start, final = build(ast.root)
+    # post-order walk on an explicit stack: a node is pushed bare, then
+    # again, under its children, with its (entry, exit) pair, or for a
+    # chain of left-nested Concats with its operand count.  Alt and Star
+    # number their pair before their children, leaves on the visit, so
+    # numbering follows a left-to-right pre-order.
+    built: list[tuple[int, int]] = []  # (entry, exit) of finished subtrees
+    stack: list[tuple[RegexNode, object]] = [(ast.root, None)]
+    while stack:
+        node, ends = stack.pop()
+        if ends is not None:  # the children are built: link them
+            if isinstance(node, Concat):
+                parts = built[-ends:]
+                del built[-ends:]
+                transitions += [(a_out, None, b_in) for (_, a_out), (b_in, _) in zip(parts, parts[1:])]
+                built.append((parts[0][0], parts[-1][1]))
+                continue
+            s, t = ends
+            if isinstance(node, Alt):
+                (l_in, l_out), (r_in, r_out) = built[-2:]
+                del built[-2:]
+                transitions += [(s, None, l_in), (l_out, None, t), (s, None, r_in), (r_out, None, t)]
+            else:
+                c_in, c_out = built.pop()
+                transitions += [(s, None, c_in), (c_out, None, t), (s, None, t), (c_out, None, c_in)]
+            built.append(ends)
+        elif isinstance(node, Concat):
+            parts = [node.right]
+            while isinstance(node.left, Concat):
+                node = node.left
+                parts.append(node.right)
+            parts.append(node.left)
+            stack.append((node, len(parts)))
+            stack += [(part, None) for part in parts]
+        elif isinstance(node, Alt):
+            stack += [(node, (counter, counter + 1)), (node.right, None), (node.left, None)]
+            counter += 2
+        elif isinstance(node, Star):
+            stack += [(node, (counter, counter + 1)), (node.child, None)]
+            counter += 2
+        else:
+            s, t = counter, counter + 1
+            if isinstance(node, Lit):
+                transitions.append((s, node.symbol, t))
+            elif isinstance(node, EmptyWord):
+                transitions.append((s, None, t))
+            elif not isinstance(node, EmptySet):
+                raise TypeError(f"not a regex node: {node!r}")
+            built.append((s, t))
+            counter += 2
+    start, final = built.pop()
     return Nfa(
         states=counter,
         alphabet=ast.alphabet,

@@ -1,14 +1,9 @@
 """Decision procedures for regular-intersection emptiness.
 
 Two problem families admit a genuine decision procedure instead of a
-bounded witness search.  For words u$u' whose sides agree after erasing
-the pad letter, the automaton is split at each separator move, and one
-search over state pairs per separator successor looks for a common
-erased word of the two sides; the witness is the first split in product
-state order, the least shortest common erased word, then its least
-shortest lifts with pads.  For the unary interleaving language, a
-two-state counter pushdown automaton is intersected with the automaton
-and tested for context-free emptiness.
+bounded witness search: words u$u' whose sides agree after erasing the
+pad letter, and interleavings of two pad-equal unary words.  Each
+decider's docstring gives its method.
 """
 
 from __future__ import annotations
@@ -17,45 +12,29 @@ from typing import Iterable, Optional
 
 from .automata import Dfa, Nfa, _bits, _reach, erase_letters, image, intersect_dfa
 from .errors import AlphabetError
-from .pda import Pda, pda_intersect_dfa, pda_is_empty
+from .pda import pda_intersect_dfa  # noqa: F401  (unused; bench/tracer.py wraps it here by name)
 
 SEPARATOR = "$"
 
 
-def _counter_pda(unary_symbol: str, pad_symbol: str) -> Pda:
-    """Accepts the even-length words whose unary letters are split evenly
-    between odd and even positions.
-
-    The state is the parity of the consumed prefix; the imbalance lives
-    on the stack as a run of P (odd-position surplus) or N (even) above
-    the bottom marker, so acceptance is even parity with a bare bottom.
-    """
-    a, p = unary_symbol, pad_symbol
-    moves: set = set()
-    for parity in (0, 1):
-        for top in ("Z", "P", "N"):
-            moves.add((parity, p, top, 1 - parity, (top,)))
-    moves |= {
-        (0, a, "Z", 1, ("P", "Z")),
-        (0, a, "P", 1, ("P", "P")),
-        (0, a, "N", 1, ()),
-        (1, a, "Z", 0, ("N", "Z")),
-        (1, a, "N", 0, ("N", "N")),
-        (1, a, "P", 0, ()),
-    }
-    return Pda(
-        states=2,
-        input_alphabet=frozenset({a, p}),
-        stack_alphabet=frozenset({"Z", "P", "N"}),
-        bottom="Z",
-        transitions=frozenset(moves),
-        start=0,
-        finals=frozenset({0}),
-    )
-
-
 def decide_intreg_unary_shuffled(a: Dfa, unary_symbol: str, pad_symbol: str) -> bool:
-    """Does L(a) contain an interleaving of two pad-equal unary words?"""
+    """Does L(a) contain an interleaving of two pad-equal unary words?
+
+    Such a word has even length and as many unary letters at even
+    positions as at odd ones, so the search reads letter pairs with a
+    counter: `a_` adds 1, `_a` subtracts 1, `aa` and `__` add 0, and each
+    state keeps its counters as a bitmask, bit c + C for counter c.  The
+    answer is yes iff a path of pair steps over the K useful states
+    (reachable from the start, co-reaching a final) ends final at 0.
+
+    Such a path exists with its counter in [-C, C] for C = K².  Take a
+    shortest one, peaking at H.  For k = 0..H let u_k and d_k be the first
+    and last points at counter k, so u_0 < ... < u_H <= d_H < ... < d_0.
+    If H >= K², two levels k < k' share (state at u_k, state at d_k);
+    cutting out the loops u_k..u_k' (+(k'-k)) and d_k'..d_k (-(k'-k))
+    leaves a shorter path.  The trough is alike.  The order is needed: an
+    (a_)^p start loop, __a_ exit and (_a)^(p-1) final loop peak at (p-1)².
+    """
     for name, sym in (("unary", unary_symbol), ("pad", pad_symbol)):
         if len(sym) != 1:
             raise AlphabetError(f"{name} symbol must be a single character, got {sym!r}")
@@ -66,8 +45,28 @@ def decide_intreg_unary_shuffled(a: Dfa, unary_symbol: str, pad_symbol: str) -> 
         raise AlphabetError(
             f"automaton alphabet {sorted(a.alphabet)} is not {sorted(expected)}"
         )
-    pda = _counter_pda(unary_symbol, pad_symbol)
-    return not pda_is_empty(pda_intersect_dfa(pda, a))
+    u, p, delta = unary_symbol, pad_symbol, a.delta
+    # the pair steps, labelled with their counter shift
+    steps = frozenset((q, shift, delta[(delta[(q, x)], y)]) for q in range(a.states)
+                      for x, y, shift in ((u, u, 0), (p, p, 0), (u, p, 1), (p, u, -1)))
+    t = Nfa(a.states, frozenset((0, 1, -1)), steps, a.start, a.finals).tables
+    succ = [t.moves[0][q] | t.moves[1][q] | t.moves[-1][q] for q in range(a.states)]
+    useful = _reach(t.start, succ) & _reach(t.finals, t.pred)
+    cap = useful.bit_count() ** 2
+    zero = 1 << cap
+    full = (zero << cap + 1) - 1
+    seen = {a.start: zero}
+    todo = dict(seen)
+    while todo:
+        if any(todo.get(f, 0) & zero for f in a.finals):
+            return True
+        out: dict[int, int] = {}
+        for q, mask in todo.items():
+            for shift, moved in ((0, mask), (1, mask << 1 & full), (-1, mask >> 1)):
+                for r in _bits(t.moves[shift][q] & useful):
+                    out[r] = out.get(r, 0) | moved
+        todo = _add_new(seen, out)
+    return False
 
 
 def _shape_dfa(full_alphabet: frozenset[str], side_letters: frozenset[str]) -> Dfa:

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own decision paths:
 shortest members come from Dijkstra/BFS over product configurations,
-tilings are re-checked grid by grid, and PCP solutions are verified by
-direct concatenation.  Where an oracle is itself nontrivial it is
+unary verdicts also from the PDA grammar route (counter_pda), tilings
+are re-checked grid by grid, and PCP solutions are verified by direct
+concatenation.  Where an oracle is itself nontrivial it is
 grounded against literal enumeration at small scale in the unit tests.
 """
 
@@ -12,6 +13,7 @@ import itertools
 from collections import deque
 
 from regint.automata import Dfa
+from regint.pda import Pda
 from regint.problems import PcpInstance, TmSpec, interleave, pad_to_common
 from regint.problems.tiling import Tiling, TilingInstance, validate_tiling
 from regint.reductions import WHITE, normalize_tm, reduce_ntm_to_tiles
@@ -104,6 +106,39 @@ def unary_shortest_member(dfa, unary, pad, diff_cap):
                 dist[node] = c + 1
                 queue.append(node)
     return None
+
+
+def counter_pda(unary_symbol, pad_symbol):
+    """Accepts the even-length words whose unary letters are split evenly
+    between odd and even positions: the grammar-route oracle for the
+    unary decider, through pda_intersect_dfa and pda_is_empty.
+
+    The state is the parity of the consumed prefix; the imbalance lives
+    on the stack as a run of P (odd-position surplus) or N (even) above
+    the bottom marker, so acceptance is even parity with a bare bottom.
+    """
+    a, p = unary_symbol, pad_symbol
+    moves = set()
+    for parity in (0, 1):
+        for top in ("Z", "P", "N"):
+            moves.add((parity, p, top, 1 - parity, (top,)))
+    moves |= {
+        (0, a, "Z", 1, ("P", "Z")),
+        (0, a, "P", 1, ("P", "P")),
+        (0, a, "N", 1, ()),
+        (1, a, "Z", 0, ("N", "Z")),
+        (1, a, "N", 0, ("N", "N")),
+        (1, a, "P", 0, ()),
+    }
+    return Pda(
+        states=2,
+        input_alphabet=frozenset({a, p}),
+        stack_alphabet=frozenset({"Z", "P", "N"}),
+        bottom="Z",
+        transitions=frozenset(moves),
+        start=0,
+        finals=frozenset({0}),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import sys
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from regint.automata import Dfa, Nfa, automaton_to_json, parse_regex, regex_to_nfa
 from regint.cli import REDUCTIONS, main
@@ -23,6 +23,10 @@ from regint.reductions import reduce_ntm_to_tiles
 from helpers import CLASSIC, M1, M2
 
 M2_ENC = "00100011010010100100110100010010001000"
+# shuffled-regex-eq words past the default recursion limit: tracks a^1100
+# and b^1100 (1100 concatenations), and 300 groups around `a` on both
+NESTED = "(" * 300 + "a" + ")" * 300
+DEEP_REGEX_WORDS = ("ab" * 1100, "".join(c + c for c in NESTED))
 
 
 def run(capsys, *argv):
@@ -180,6 +184,14 @@ def test_alphabet_is_refused_where_the_problem_takes_none(capsys, files):
     ):
         code, doc = run(capsys, *argv, "--alphabet", "01")
         assert code == 2 and doc == {"error": f"alphabet: not applicable to {argv[2]}"}
+
+
+def test_check_deep_regex_tracks(capsys):
+    long_chain, nested = DEEP_REGEX_WORDS
+    code, doc = run(capsys, "check", "--problem", "shuffled-regex-eq", "--word", long_chain)
+    assert code == 1 and doc["member"] is False
+    code, doc = run(capsys, "check", "--problem", "shuffled-regex-eq", "--word", nested)
+    assert code == 0 and doc["member"] is True
 
 
 def test_check_unknown_problem_is_a_usage_error(capsys):
@@ -508,6 +520,15 @@ def machine_words(draw):
 
 
 @st.composite
+def regex_words(draw):
+    """A deep shuffled-regex-eq word with up to two characters flipped."""
+    word = list(draw(st.sampled_from(DEEP_REGEX_WORDS)))
+    for _ in range(draw(st.integers(0, 2))):
+        word[draw(st.integers(0, len(word) - 1))] = draw(st.sampled_from("ab()|*_"))
+    return "".join(word)
+
+
+@st.composite
 def invocations(draw):
     """(argv, text of the input file that "{in}" in argv names)."""
     problems = st.sampled_from(sorted(PROBLEMS) + ["nope"])
@@ -517,6 +538,8 @@ def invocations(draw):
         problem = draw(problems)
         if problem.startswith("machine-") and draw(st.booleans()):
             word = draw(machine_words())
+        elif problem == "shuffled-regex-eq" and draw(st.booleans()):
+            word = draw(regex_words())
         else:
             word = draw(st.text(LETTERS, max_size=12))
         argv = ["check", "--problem", problem, "--word", word]
@@ -550,6 +573,8 @@ VERDICTS_OF_EXIT_1 = ({"member": False}, {"verdict": False}, {"outcome": "exhaus
 
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(invocation=invocations())
+@example(invocation=(["check", "--problem", "shuffled-regex-eq", "--word", DEEP_REGEX_WORDS[0]], ""))
+@example(invocation=(["check", "--problem", "shuffled-regex-eq", "--word", DEEP_REGEX_WORDS[1]], ""))
 def test_every_invocation_keeps_the_output_contract(tmp_path, invocation):
     argv, text = invocation
     path = tmp_path / "in.json"

@@ -2,8 +2,10 @@
 
 The oracles (helpers.seq_shortest_member, helpers.unary_shortest_member)
 work on product configurations and never touch the deciders' erasure or
-grammar machinery; they are themselves grounded against literal
-enumeration on a separate seed before being trusted at scale.
+counter machinery; they are themselves grounded against literal
+enumeration on a separate seed before being trusted at scale.  The
+unary decider is also checked against the PDA grammar route
+(helpers.counter_pda through regint.pda), which shares none of its code.
 """
 
 import hashlib
@@ -15,10 +17,11 @@ import pytest
 from regint.automata import Dfa, Nfa, accepts, determinize, dfa_to_nfa
 from regint.deciders import decide_intreg_sequential_string_eq, decide_intreg_unary_shuffled
 from regint.errors import AlphabetError
+from regint.pda import pda_intersect_dfa, pda_is_empty
 from regint.problems import member_sequential_string_eq, member_shuffled_string_eq
 from regint.search import enumerate_words
 
-from helpers import chain_dfa, random_dfa, seq_shortest_member, unary_shortest_member
+from helpers import chain_dfa, counter_pda, random_dfa, seq_shortest_member, unary_shortest_member
 
 AB = frozenset("ab_$")
 A_ = frozenset("a_")
@@ -175,6 +178,58 @@ def test_sequential_decider_agrees_with_oracle_on_larger_dfas():
 
 def test_unary_decider_agrees_with_oracle():
     assert unary_agreement_run(60, 31337) == 60
+
+
+def grammar_route(d):
+    return not pda_is_empty(pda_intersect_dfa(counter_pda("a", "_"), d))
+
+
+def test_unary_decider_agrees_with_the_pda_grammar_route():
+    rng = random.Random(2718)
+    verdicts = 0
+    for i in range(300):
+        d = random_dfa(rng, "a_", max_states=9, final_share=rng.choice((0.1, 0.3, 0.5)))
+        flag = decide_intreg_unary_shuffled(d, "a", "_")
+        assert flag == grammar_route(d), i
+        verdicts += flag
+    assert 0 < verdicts < 300
+
+
+def coprime_unary_dfa(p):
+    """An (a_)^p loop at the start, an exit on __a_, and a (_a)^(p-1)
+    loop at the final state, plus a dead state: 4p + 2 states.  The
+    shortest member is (a_)^(p(p-2)) __a_ (_a)^((p-1)(p-1)), whose counter
+    peaks at (p-1)²: above twice the state count from p = 11 on."""
+    n = 4 * p + 2
+    dead = n - 1
+    delta = {(s, sym): dead for s in range(n) for sym in A_}
+    for i in range(p):
+        delta[(2 * i, "a")] = 2 * i + 1
+        delta[(2 * i + 1, "_")] = (2 * i + 2) % (2 * p)
+    exit_ = 2 * p
+    delta[(0, "_")] = exit_
+    delta[(exit_, "_")] = exit_ + 1
+    delta[(exit_ + 1, "a")] = exit_ + 2
+    final = exit_ + 3
+    delta[(exit_ + 2, "_")] = final
+    for j in range(p - 1):
+        delta[(final + 2 * j, "_")] = final + 2 * j + 1
+        delta[(final + 2 * j + 1, "a")] = final + (2 * j + 2) % (2 * (p - 1))
+    return Dfa(n, A_, delta, 0, frozenset({final}))
+
+
+def test_unary_decider_on_the_coprime_family():
+    start = time.perf_counter()
+    for p in range(3, 13):
+        d = coprime_unary_dfa(p)
+        peak = (p - 1) ** 2
+        word = "a_" * (p * (p - 2)) + "__a_" + "_a" * peak
+        assert accepts(d, word) and member_shuffled_string_eq(word, frozenset("a"), "_"), p
+        assert decide_intreg_unary_shuffled(d, "a", "_") is True, p
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, elapsed
+    for p in (3, 4):
+        assert grammar_route(coprime_unary_dfa(p)) is True, p
 
 
 def test_sequential_decider_ignores_injected_pads():

@@ -3,11 +3,10 @@
 import pytest
 
 from regint.automata import determinize, parse_regex, regex_to_nfa
-from regint.deciders import _counter_pda
 from regint.errors import AlphabetError, MalformedInputError
 from regint.pda import Cfg, Pda, cfg_generating, cfg_is_empty, pda_intersect_dfa, pda_is_empty, pda_to_cfg
 
-from helpers import chain_dfa, pda_nonempty_bfs
+from helpers import chain_dfa, counter_pda, pda_nonempty_bfs
 
 
 def dfa_for(text, alphabet):
@@ -105,7 +104,7 @@ def test_product_rejects_alphabet_mismatch():
 
 
 def test_counter_pda_product_with_one_word():
-    pda = _counter_pda("a", "_")
+    pda = counter_pda("a", "_")
     product = pda_intersect_dfa(pda, chain_dfa("aa", frozenset("a_")))
     assert not pda_is_empty(product)
     for w in ("a", "a_", "_a", "aaa"):
@@ -126,7 +125,7 @@ def test_counter_pda_product_with_alternating_words_is_empty():
 
     delta = {(s, ("_" if sym == "x" else sym)): t for (s, sym), t in lang.delta.items()}
     dfa = Dfa(lang.states, frozenset("a_"), delta, lang.start, lang.finals)
-    assert pda_is_empty(pda_intersect_dfa(_counter_pda("a", "_"), dfa))
+    assert pda_is_empty(pda_intersect_dfa(counter_pda("a", "_"), dfa))
     for w in enumerate_words(dfa, 12):
         assert not member_shuffled_string_eq(w, frozenset("a"), "_")
 
@@ -150,7 +149,7 @@ def test_cfg_generating_fixpoint_on_a_tiny_grammar():
 def test_pda_to_cfg_emptiness_matches_on_catalog():
     catalog = [
         counter_balance_pda(),
-        _counter_pda("a", "_"),
+        counter_pda("a", "_"),
         Pda(2, frozenset("a"), frozenset("Z"), "Z", frozenset(), 0, frozenset({1})),
     ]
     for pda in catalog:
@@ -161,9 +160,9 @@ def test_emptiness_agrees_with_config_search_at_the_square_cap():
     # the deterministic catalog stays within stack height stateCount²
     catalog = [
         counter_balance_pda(),
-        _counter_pda("a", "_"),
-        pda_intersect_dfa(_counter_pda("a", "_"), chain_dfa("aa", frozenset("a_"))),
-        pda_intersect_dfa(_counter_pda("a", "_"), chain_dfa("a_", frozenset("a_"))),
+        counter_pda("a", "_"),
+        pda_intersect_dfa(counter_pda("a", "_"), chain_dfa("aa", frozenset("a_"))),
+        pda_intersect_dfa(counter_pda("a", "_"), chain_dfa("a_", frozenset("a_"))),
         Pda(2, frozenset("a"), frozenset("ZA"), "Z",
             frozenset({(0, "a", "Z", 1, ("A", "Z"))}), 0, frozenset({1})),
     ]

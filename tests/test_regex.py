@@ -1,6 +1,8 @@
 """Regex parsing: shapes, precedence, the two atom metacharacters, and
 error positions."""
 
+import sys
+
 import pytest
 
 from regint.automata import (
@@ -109,3 +111,17 @@ def test_empty_set_under_star_denotes_epsilon():
     dfa = determinize(regex_to_nfa(parse_regex("~*", AB)))
     assert accepts(dfa, "")
     assert not accepts(dfa, "a")
+
+
+def test_deep_nesting_and_long_chains_need_no_recursion():
+    depth = sys.getrecursionlimit() + 100
+    assert parse_regex("(" * depth + "a" + ")" * depth, AB).root == Lit("a")
+    with pytest.raises(RegexSyntaxError) as exc:
+        parse_regex("(" * depth + "a", AB)
+    assert exc.value.position == depth - 1  # the innermost opener
+    chain = "ab" * depth
+    dfa = determinize(regex_to_nfa(parse_regex(chain, AB)))
+    assert accepts(dfa, chain) and not accepts(dfa, chain[:-1])
+    # a* then one more star per group: two fresh states per star
+    starred = regex_to_nfa(parse_regex("(" * depth + "a*" + ")*" * depth, AB))
+    assert starred.states == 2 * depth + 4
