@@ -14,10 +14,9 @@ alphabet, with any required dead state materialized on construction.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import AlphabetError, MalformedInputError, RegexSyntaxError
 
@@ -350,20 +349,28 @@ def regex_to_nfa(ast: RegexAst) -> Nfa:
     )
 
 
-def determinize(nfa: Nfa) -> Dfa:
-    """Subset-construct an equivalent total DFA (reachable part only)."""
-    t = nfa.tables
-    index = {t.start: 0}
-    order = [t.start]
+def _number(start, symbols: Sequence[str], step: Callable) -> tuple[list, dict[tuple[int, str], int]]:
+    """Number the states reachable from `start` breadth-first, trying
+    `symbols` in order: state i is order[i], and delta[(i, sym)] is the
+    number of step(order[i], sym)."""
+    index = {start: 0}
+    order = [start]
     delta: dict[tuple[int, str], int] = {}
-    # `order` grows while it is walked, so this is a breadth-first queue
-    for src, subset in enumerate(order):
-        for sym in t.symbols:
-            target = t.step(subset, sym)
+    # `order` grows while it is walked, so it is its own breadth-first queue
+    for src, state in enumerate(order):
+        for sym in symbols:
+            target = step(state, sym)
             if target not in index:
                 index[target] = len(order)
                 order.append(target)
             delta[(src, sym)] = index[target]
+    return order, delta
+
+
+def determinize(nfa: Nfa) -> Dfa:
+    """Subset-construct an equivalent total DFA (reachable part only)."""
+    t = nfa.tables
+    order, delta = _number(t.start, t.symbols, t.step)
     finals = frozenset(i for i, subset in enumerate(order) if subset & t.finals)
     return Dfa(len(order), nfa.alphabet, delta, 0, finals)
 
@@ -378,11 +385,6 @@ def accepts(automaton: Automaton, word: str) -> bool:
     for c in word:
         if c not in automaton.alphabet:
             raise AlphabetError(f"symbol {c!r} not in automaton alphabet")
-    if isinstance(automaton, Dfa):
-        q = automaton.start
-        for c in word:
-            q = automaton.delta[(q, c)]
-        return q in automaton.finals
     t = automaton.tables
     current = t.start
     for c in word:
@@ -396,25 +398,9 @@ def intersect_dfa(a: Dfa, b: Dfa) -> Dfa:
     """Product DFA for L(a) ∩ L(b); reachable product states only."""
     if a.alphabet != b.alphabet:
         raise AlphabetError("intersect_dfa requires identical alphabets")
-    symbols = sorted(a.alphabet)
-    start = (a.start, b.start)
-    index: dict[tuple[int, int], int] = {start: 0}
-    order = [start]
-    delta: dict[tuple[int, str], int] = {}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        src = index[pair]
-        for sym in symbols:
-            target = (a.delta[(pair[0], sym)], b.delta[(pair[1], sym)])
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-                queue.append(target)
-            delta[(src, sym)] = index[target]
-    finals = frozenset(
-        i for i, (qa, qb) in enumerate(order) if qa in a.finals and qb in b.finals
-    )
+    order, delta = _number((a.start, b.start), sorted(a.alphabet),
+                           lambda pair, sym: (a.delta[(pair[0], sym)], b.delta[(pair[1], sym)]))
+    finals = frozenset(i for i, (qa, qb) in enumerate(order) if qa in a.finals and qb in b.finals)
     return Dfa(len(order), a.alphabet, delta, 0, finals)
 
 
@@ -440,24 +426,23 @@ def erase_letters(automaton: Automaton, erase: Iterable[str]) -> Nfa:
 
 
 def equivalent(a: Automaton, b: Automaton) -> bool:
-    """Language equality via breadth-first search for a distinguishing pair."""
+    """Language equality.  Walks pairs of state sets breadth-first from
+    the two start sets, stepping each side on its compiled tables, and
+    stops at the first pair where exactly one side holds a final state;
+    NFAs are taken as they are, so no DFA is built."""
     if a.alphabet != b.alphabet:
         raise AlphabetError("equivalent requires identical alphabets")
-    da = a if isinstance(a, Dfa) else determinize(a)
-    db = b if isinstance(b, Dfa) else determinize(b)
-    symbols = sorted(da.alphabet)
-    start = (da.start, db.start)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        qa, qb = queue.popleft()
-        if (qa in da.finals) != (qb in db.finals):
+    ta, tb = a.tables, b.tables
+    pairs = [(ta.start, tb.start)]
+    seen = set(pairs)
+    for x, y in pairs:  # grows while walked: a breadth-first queue
+        if bool(x & ta.finals) != bool(y & tb.finals):
             return False
-        for sym in symbols:
-            nxt = (da.delta[(qa, sym)], db.delta[(qb, sym)])
+        for sym in ta.symbols:
+            nxt = (ta.step(x, sym), tb.step(y, sym))
             if nxt not in seen:
                 seen.add(nxt)
-                queue.append(nxt)
+                pairs.append(nxt)
     return True
 
 

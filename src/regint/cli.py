@@ -48,6 +48,46 @@ REDUCTIONS = {
 }
 
 
+def _solve_bounded_tiling(data):
+    instance = tiling_instance_from_json(data)
+    if instance.variant != "bounded":
+        raise MalformedInputError("variant: expected bounded")
+    tiling = solve_bounded_tiling(instance)
+    if tiling is None:
+        return None
+    return {"width": tiling.width, "height": tiling.height, "grid": [list(row) for row in tiling.grid]}
+
+
+def _solve_corridor_tiling(data):
+    instance = tiling_instance_from_json(data)
+    if instance.variant != "corridor":
+        raise MalformedInputError("variant: expected corridor")
+    result = solve_corridor_tiling(instance)
+    if result is None:
+        return None
+    height, tiling = result
+    return {"height": height, "width": tiling.width, "grid": [list(row) for row in tiling.grid]}
+
+
+def _solve_bpcp(data):
+    if not isinstance(data, dict) or "k" not in data:
+        raise MalformedInputError("k: missing bound for bpcp")
+    bound = data["k"]
+    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
+        raise MalformedInputError("k: expected a positive integer")
+    instance = pcp_from_json({key: data[key] for key in ("alphabet", "a", "b") if key in data})
+    solution = check_bpcp(instance, bound)
+    return None if solution is None else {"indices": list(solution.indices), "bound": solution.bound}
+
+
+# solve target -> solver from the input document to the printed payload, None when unsolvable
+SOLVERS = {
+    "bounded-tiling": _solve_bounded_tiling,
+    "corridor-tiling": _solve_corridor_tiling,
+    "bpcp": _solve_bpcp,
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument errors and -h/--help also land on stdout as JSON, keeping
     the output contract on the malformed-invocation and help paths."""
@@ -130,47 +170,9 @@ def _run_reduce(args) -> int:
 
 
 def _run_solve(args) -> int:
-    data = _load_json(args.infile)
-    if args.target == "bpcp":
-        if not isinstance(data, dict) or "k" not in data:
-            raise MalformedInputError("k: missing bound for bpcp")
-        bound = data["k"]
-        if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
-            raise MalformedInputError("k: expected a positive integer")
-        instance = pcp_from_json({key: data[key] for key in ("alphabet", "a", "b") if key in data})
-        solution = check_bpcp(instance, bound)
-        if solution is None:
-            _emit("none")
-            return 1
-        _emit({"indices": list(solution.indices), "bound": solution.bound})
-        return 0
-    instance = tiling_instance_from_json(data)
-    if args.target == "bounded-tiling":
-        if instance.variant != "bounded":
-            raise MalformedInputError("variant: expected bounded")
-        tiling = solve_bounded_tiling(instance)
-        if tiling is None:
-            _emit("none")
-            return 1
-        _emit({
-            "width": tiling.width,
-            "height": tiling.height,
-            "grid": [list(row) for row in tiling.grid],
-        })
-        return 0
-    if instance.variant != "corridor":
-        raise MalformedInputError("variant: expected corridor")
-    result = solve_corridor_tiling(instance)
-    if result is None:
-        _emit("none")
-        return 1
-    height, tiling = result
-    _emit({
-        "height": height,
-        "width": tiling.width,
-        "grid": [list(row) for row in tiling.grid],
-    })
-    return 0
+    payload = SOLVERS[args.target](_load_json(args.infile))
+    _emit("none" if payload is None else payload)
+    return 1 if payload is None else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -210,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     reduce_cmd.set_defaults(run=_run_reduce)
 
     solve = sub.add_parser("solve", help="solve a concrete instance file")
-    solve.add_argument("target", choices=("bounded-tiling", "corridor-tiling", "bpcp"))
+    solve.add_argument("target", choices=SOLVERS)
     solve.add_argument("--in", dest="infile", required=True)
     solve.set_defaults(run=_run_solve)
     return parser

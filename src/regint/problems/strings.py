@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..automata import determinize, equivalent, parse_regex, regex_to_nfa
+from ..automata import equivalent, parse_regex, regex_to_nfa
 from ..errors import RegexSyntaxError
 
 
@@ -67,4 +67,4 @@ def member_shuffled_regex_eq(word: str, alphabet: Iterable[str]) -> bool:
         f = parse_regex(word[1::2], alphabet)
     except RegexSyntaxError:
         return False
-    return equivalent(determinize(regex_to_nfa(e)), determinize(regex_to_nfa(f)))
+    return equivalent(regex_to_nfa(e), regex_to_nfa(f))

@@ -1,13 +1,22 @@
 """NFA/DFA construction, products, erasing, equivalence, and the JSON
 wire format."""
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from regint.automata import (
+    Alt,
+    Concat,
     Dfa,
     EmptySet,
+    EmptyWord,
+    Lit,
     Nfa,
     RegexAst,
+    Star,
     accepts,
     automaton_from_json,
     automaton_to_json,
@@ -23,7 +32,7 @@ from regint.automata import (
 from regint.errors import AlphabetError, MalformedInputError
 from regint.search import enumerate_words
 
-from helpers import chain_dfa
+from helpers import chain_dfa, random_dfa
 
 AB = frozenset("ab")
 
@@ -83,6 +92,55 @@ def test_round_trip_through_dfa_to_nfa():
     dfa = dfa_for("(ab)*a", AB)
     back = determinize(dfa_to_nfa(dfa))
     assert equivalent(dfa, back)
+
+
+# ---------------------------------------------------------------------------
+# state numbering
+
+
+def _random_ast(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([EmptySet(), EmptyWord(), Lit("a"), Lit("b"), Lit("c")])
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Concat(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
+    if kind == 1:
+        return Alt(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
+    return Star(_random_ast(rng, depth - 1))
+
+
+def _random_nfa(rng):
+    n = rng.randint(1, 7)
+    edges = frozenset(
+        (rng.randrange(n), rng.choice([None, "a", "b"]), rng.randrange(n))
+        for _ in range(rng.randint(0, 3 * n))
+    )
+    finals = frozenset(q for q in range(n) if rng.random() < 0.3)
+    return Nfa(n, AB, edges, rng.randrange(n), finals)
+
+
+def _digest(automata):
+    text = json.dumps([automaton_to_json(x) for x in automata], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_determinize_state_numbering_is_pinned():
+    # breadth-first numbering in symbol order; the digest pins every
+    # state number, move and final set, so a reordering shows here
+    rng = random.Random(20261018)
+    nfas = [regex_to_nfa(RegexAst(_random_ast(rng, 5), frozenset("abc"))) for _ in range(150)]
+    nfas += [_random_nfa(rng) for _ in range(150)]
+    assert _digest(determinize(n) for n in nfas) == DETERMINIZE_DIGEST
+
+
+def test_intersect_dfa_state_numbering_is_pinned():
+    rng = random.Random(20261018)
+    pairs = [(random_dfa(rng, "ab", 8), random_dfa(rng, "ab", 8)) for _ in range(200)]
+    assert _digest(intersect_dfa(a, b) for a, b in pairs) == INTERSECT_DIGEST
+
+
+DETERMINIZE_DIGEST = "309a0aab23abaf6907c57594b9bcfa02b49d4ce79ffeaa4becb116494b6b9e11"
+INTERSECT_DIGEST = "9f8628068d1c43fe7dd1a263d2d737e979027bfcc4480738a82c26da310aa11f"
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,14 @@ def test_equivalent_iff_xor_product_empty(a, b):
     assert equivalent(a, b) == is_empty(xor_product(a, b))
 
 
+@settings(max_examples=200, deadline=None)
+@given(nfas(), nfas())
+def test_equivalent_on_nfas_iff_xor_product_empty(a, b):
+    # silent and missing moves included: walking pairs of state sets
+    # must give the verdict of the two subset constructions
+    assert equivalent(a, b) == is_empty(xor_product(determinize(a), determinize(b)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(pdas(max_states=2))
 def test_pda_emptiness_matches_config_search(pda):

@@ -12,6 +12,10 @@ from regint.problems import (
     member_shuffled_string_eq,
     pad_to_common,
 )
+from regint.reductions import reduce_pcp_to_shuffled_regex
+from regint.search import enumerate_words
+
+from helpers import CLASSIC
 
 AB = frozenset("ab")
 PAD = "_"
@@ -128,3 +132,13 @@ def test_regex_eq_odd_length_or_unpaired_is_non_member():
 def test_regex_eq_star_equivalences():
     assert member_shuffled_regex_eq(interleave("a**_", "a*__"), AB) is True
     assert member_shuffled_regex_eq(interleave("(ab)*a", "a(ba)*"), AB) is True
+
+
+def test_regex_eq_on_the_classic_pcp_language():
+    # the words to length 36 of the reduction's language: exactly one
+    # block sequence spells two equivalent regexes, the solution 2,1,1,3
+    lang = reduce_pcp_to_shuffled_regex(CLASSIC, PAD)
+    words = list(enumerate_words(lang.nfa, 36))
+    assert len(words) == 722
+    members = [w for w in words if member_shuffled_regex_eq(w, CLASSIC.alphabet)]
+    assert members == ["11001_1_1_11_1_111_1_1100_"]
