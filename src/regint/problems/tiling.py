@@ -18,7 +18,7 @@ tiles are ';'-separated, 'w,n,e,s' each; coloring entries are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from ..errors import MalformedInputError, MalformedWordError, ResourceLimitError
 
@@ -109,6 +109,8 @@ def validate_tiling(instance: TilingInstance, tiling: Tiling) -> list[str]:
     if instance.variant == "bounded" and h != instance.width:
         problems.append(f"bounded tiling must be square, got height {h}")
         return problems
+    if h < 1:
+        return ["height must be at least 1"]
     if len(tiling.grid) != h or any(len(row) != n for row in tiling.grid):
         problems.append("grid shape does not match width/height")
         return problems
@@ -142,12 +144,31 @@ def validate_tiling(instance: TilingInstance, tiling: Tiling) -> list[str]:
     return problems
 
 
+def _depth_first(depth: int, options: Callable[[list[int], int], Iterable[int]]) -> Iterator[list[int]]:
+    """Each full choice list in depth-first order, yielded as one list
+    refilled in place; options(chosen, k) lists position k's candidates
+    once chosen[:k] is fixed.  Untried candidates sit on an explicit
+    stack, so a deep search cannot exhaust the recursion limit."""
+    chosen = [-1] * depth
+    untried = [iter(options(chosen, 0))]
+    while untried:
+        k = len(untried) - 1
+        chosen[k] = next(untried[-1], -1)
+        if chosen[k] < 0:
+            untried.pop()
+        elif k + 1 < depth:
+            untried.append(iter(options(chosen, k + 1)))
+        else:
+            yield chosen
+
+
 def solve_bounded_tiling(instance: TilingInstance) -> Optional[Tiling]:
     """First tiling in cell-by-cell backtracking order, or None.
 
-    Cells are filled row-major from the bottom-left; each placement is
-    constrained by the south and west edges already fixed and, on the
-    last column and row, by the r and t colorings.
+    Cells are filled row-major from the bottom-left, each trying tiles
+    in index order; each placement is constrained by the south and west
+    edges already fixed and, on the last column and row, by the r and t
+    colorings.
     """
     if instance.variant != "bounded":
         raise MalformedInputError("variant: solve_bounded_tiling needs a bounded instance")
@@ -157,33 +178,15 @@ def solve_bounded_tiling(instance: TilingInstance) -> Optional[Tiling]:
     for idx, tile in enumerate(tiles):
         by_ws.setdefault((tile.w, tile.s), []).append(idx)
 
-    grid = [[-1] * n for _ in range(n)]
-
-    def candidates(cell: int) -> Iterator[int]:
+    def candidates(cells: list[int], cell: int) -> list[int]:
         j, i = divmod(cell, n)
-        west = instance.l[j] if i == 0 else tiles[grid[j][i - 1]].e
-        south = instance.b[i] if j == 0 else tiles[grid[j - 1][i]].n
-        for idx in by_ws.get((west, south), ()):
-            tile = tiles[idx]
-            if i == n - 1 and tile.e != instance.r[j]:
-                continue
-            if j == n - 1 and tile.n != instance.t[i]:
-                continue
-            yield idx
+        west = instance.l[j] if i == 0 else tiles[cells[cell - 1]].e
+        south = instance.b[i] if j == 0 else tiles[cells[cell - n]].n
+        return [idx for idx in by_ws.get((west, south), ())
+                if (i < n - 1 or tiles[idx].e == instance.r[j]) and (j < n - 1 or tiles[idx].n == instance.t[i])]
 
-    # untried candidates of each placed cell and of the next one: an
-    # explicit stack, so a wide grid cannot exhaust the recursion limit
-    untried = [candidates(0)]
-    while untried:
-        cell = len(untried) - 1
-        j, i = divmod(cell, n)
-        grid[j][i] = next(untried[-1], -1)
-        if grid[j][i] < 0:
-            untried.pop()
-        elif cell + 1 == n * n:
-            return Tiling(n, n, tuple(tuple(row) for row in grid))
-        else:
-            untried.append(candidates(cell + 1))
+    for cells in _depth_first(n * n, candidates):
+        return Tiling(n, n, tuple(tuple(cells[j * n : (j + 1) * n]) for j in range(n)))
     return None
 
 
@@ -197,8 +200,10 @@ def solve_corridor_tiling(
     the previous row's north colors (the b coloring for the first row);
     the goal is a row whose north colors equal t.  The search state is
     the north color vector, so the level at which t first appears is
-    the minimal height.  Raises ResourceLimitError past max_nodes
-    explored rows rather than answering wrongly.
+    the minimal height.  A level expands its vectors in discovery order,
+    each one's rows depth-first over columns in tile index order, and
+    the first row to reach a vector is kept.  Raises ResourceLimitError
+    past max_nodes explored rows rather than answering wrongly.
     """
     if instance.variant != "corridor":
         raise MalformedInputError("variant: solve_corridor_tiling needs a corridor instance")
@@ -209,56 +214,40 @@ def solve_corridor_tiling(
     for idx, tile in enumerate(tiles):
         by_s.setdefault(tile.s, []).append(idx)
         by_sw.setdefault((tile.s, tile.w), []).append(idx)
-    budget = [max_nodes]
+    budget = max_nodes
 
     def rows_over(south: tuple[str, ...]) -> Iterator[tuple[int, ...]]:
-        # untried candidates of each placed column and of the next one: an
-        # explicit stack, so a wide corridor cannot exhaust the recursion limit
-        row = [-1] * n
-        untried = [iter(by_s.get(south[0], ()))]
-        while untried:
-            i = len(untried) - 1
-            row[i] = next(untried[-1], -1)
-            if row[i] < 0:
-                untried.pop()
-            elif i + 1 < n:
-                untried.append(iter(by_sw.get((south[i + 1], tiles[row[i]].e), ())))
-            else:
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise ResourceLimitError("corridor row cap exceeded")
-                yield tuple(row)
+        nonlocal budget
+        def options(row: list[int], i: int) -> Iterable[int]:
+            return by_sw.get((south[i], tiles[row[i - 1]].e), ()) if i else by_s.get(south[0], ())
 
-    parent: dict[tuple[str, ...], tuple[Optional[tuple[str, ...]], tuple[int, ...]]] = {}
-    frontier: list[tuple[str, ...]] = []
-    for row in rows_over(instance.b):
-        north = tuple(tiles[idx].n for idx in row)
-        if north not in parent:
-            parent[north] = (None, row)
-            frontier.append(north)
-    height = 1
-    while True:
-        for vector in frontier:
-            if vector == instance.t:
-                rows = []
-                cursor: Optional[tuple[str, ...]] = vector
-                while cursor is not None:
-                    prev, row = parent[cursor]
-                    rows.append(row)
-                    cursor = prev
-                rows.reverse()
-                return height, Tiling(n, height, tuple(rows))
-        nxt: list[tuple[str, ...]] = []
+        for row in _depth_first(n, options):
+            budget -= 1
+            if budget < 0:
+                raise ResourceLimitError("corridor row cap exceeded")
+            yield tuple(row)
+
+    # level 0 is b; parent: north vector -> (south vector, row) first reaching it
+    parent: dict[tuple[str, ...], tuple[tuple[str, ...], tuple[int, ...]]] = {}
+    frontier = [instance.b]
+    height = 0
+    while frontier:
+        height += 1
+        nxt = []
         for vector in frontier:
             for row in rows_over(vector):
                 north = tuple(tiles[idx].n for idx in row)
                 if north not in parent:
                     parent[north] = (vector, row)
                     nxt.append(north)
-        if not nxt:
-            return None
+        if instance.t in parent:
+            rows, vector = [], instance.t
+            for _ in range(height):
+                vector, row = parent[vector]
+                rows.append(row)
+            return height, Tiling(n, height, tuple(reversed(rows)))
         frontier = nxt
-        height += 1
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -296,27 +285,18 @@ def _parse_coloring(field: str) -> tuple[str, ...]:
 def parse_tiling_word(word: str) -> TilingInstance:
     """Decode a bounded (T$l$t$r$b) or corridor (T$t$b) instance word."""
     fields = word.split("$")
-    if len(fields) == 5:
-        variant = "bounded"
-        tiles = _parse_tiles(fields[0])
-        colorings = [_parse_coloring(f) for f in fields[1:]]
-        l, t, r, b = colorings
-    elif len(fields) == 3:
-        variant = "corridor"
-        tiles = _parse_tiles(fields[0])
-        t, b = _parse_coloring(fields[1]), _parse_coloring(fields[2])
-        l = r = None
-    else:
+    if len(fields) not in (3, 5):
         raise MalformedWordError(f"expected 2 or 4 '$' separators, got {len(fields) - 1}")
-    widths = {len(c) for c in ((l, t, r, b) if variant == "bounded" else (t, b)) if c is not None}
+    tiles = _parse_tiles(fields[0])
+    colorings = [_parse_coloring(f) for f in fields[1:]]
+    widths = {len(c) for c in colorings}
     if len(widths) != 1:
         raise MalformedWordError(f"coloring lengths differ: {sorted(widths)}")
-    colors = frozenset(c for tile in tiles for c in tile) | frozenset(
-        entry for coloring in (l, t, r, b) if coloring for entry in coloring
-    )
+    l, t, r, b = colorings if len(colorings) == 4 else (None, colorings[0], None, colorings[1])
+    colors = frozenset(c for tile in tiles for c in tile) | frozenset(e for c in colorings for e in c)
     tile_set = TileSet(tiles=tiles, colors=colors)
     try:
-        return TilingInstance(variant, tile_set, widths.pop(), l, t, r, b)
+        return TilingInstance("corridor" if l is None else "bounded", tile_set, widths.pop(), l, t, r, b)
     except MalformedInputError as exc:
         raise MalformedWordError(str(exc)) from exc
 

@@ -24,7 +24,7 @@ from .errors import AlphabetError, MalformedInputError
 from .problems.bpcp import PcpInstance
 from .problems.machines import TmSpec, encode_tm
 from .problems.strings import interleave, pad_to_common
-from .problems.tiling import TileSet, TileType, serialize_tile_set
+from .problems.tiling import _DELIMITERS, TileSet, TileType, serialize_tile_set
 
 
 @dataclass(frozen=True)
@@ -213,24 +213,22 @@ def reduce_ntm_to_tiles(tm: TmSpec) -> TileSet:
     and the accept-repeat tile.
     """
     n = normalize_tm(tm)
-    if any(sym == WHITE or sym in ",;$#" for sym in n.tape_alphabet):
+    if any(sym == WHITE or not sym or set(sym) & _DELIMITERS for sym in n.tape_alphabet):
         raise MalformedInputError("tape: symbols may not collide with color or encoding delimiters")
     tiles: list[TileType] = []
     for a in n.tape_alphabet:
         tiles.append(TileType(WHITE, a, WHITE, a))
-    ordered = sorted(n.transitions)
-    for src, read, dst, write, move in ordered:
+    rank = {"R": 0, "L": 1, "S": 2}
+    for src, read, dst, write, move in sorted(n.transitions, key=lambda tr: (rank[tr[4]], tr)):
         if move == "R":
             tiles.append(TileType(WHITE, write, _state_color(dst), _head_color(src, read)))
             for c in n.tape_alphabet:
                 tiles.append(TileType(_state_color(dst), _head_color(dst, c), WHITE, c))
-    for src, read, dst, write, move in ordered:
-        if move == "L":
+        elif move == "L":
             tiles.append(TileType(_state_color(dst), write, WHITE, _head_color(src, read)))
             for c in n.tape_alphabet:
                 tiles.append(TileType(WHITE, _head_color(dst, c), _state_color(dst), c))
-    for src, read, dst, write, move in ordered:
-        if move == "S":
+        else:
             tiles.append(TileType(WHITE, _head_color(dst, write), WHITE, _head_color(src, read)))
     accept_color = _head_color(n.accept, n.blank)
     tiles.append(TileType(WHITE, accept_color, WHITE, accept_color))

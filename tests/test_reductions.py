@@ -6,6 +6,9 @@ back and re-verified by direct concatenation; the machine-to-tiling
 pipeline is checked against hand-traced runs and the tiling solvers.
 """
 
+import hashlib
+import random
+
 import pytest
 
 from regint.automata import accepts, equivalent, parse_regex, regex_to_nfa
@@ -391,6 +394,43 @@ def test_tile_generation_rejects_colliding_symbols():
                      blank="_", start=0, accept=0, transitions=frozenset())
         with pytest.raises(MalformedInputError):
             reduce_ntm_to_tiles(bad)
+
+
+# sha256 of the tile sets below, in emission order, or of the error's
+# type and message: it pins every tile's place, not only the counts
+TILES_DIGEST = "e54f82cd82587ac2bf538ae8a96ec4d6a567626da941464478b321a640952f4f"
+
+
+def random_machine(rng):
+    states = rng.randint(1, 4)
+    tape = ("_",) + tuple(rng.sample("01a", rng.randint(1, 3)))
+    if rng.random() < 0.1:
+        tape += (rng.choice(",;$#."),)
+    accept = rng.randrange(states)
+    sources = [q for q in range(states) if q != accept]
+    transitions = frozenset(
+        (rng.choice(sources), rng.choice(tape), rng.randrange(states), rng.choice(tape), rng.choice("LRS"))
+        for _ in range(rng.randint(0, 6) if sources else 0)
+    )
+    inputs = tape[1 : rng.randint(2, len(tape))]
+    return TmSpec(states, inputs, tape, "_", rng.randrange(states), accept, transitions)
+
+
+def test_tile_sets_are_pinned():
+    rng = random.Random(7070)
+    digest = hashlib.sha256()
+    rejected = 0
+    for _ in range(600):
+        try:
+            ts = reduce_ntm_to_tiles(random_machine(rng))
+        except MalformedInputError as exc:
+            rejected += 1
+            out = str(exc)
+        else:
+            out = ts.tiles, sorted(ts.colors), ts.white, ts.blank, ts.accept
+        digest.update(repr(out).encode())
+    assert rejected == 52
+    assert digest.hexdigest() == TILES_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tilings: validation, the two solvers against brute force, the word
 encoding, and the membership checkers."""
 
+import hashlib
 import random
 
 import pytest
@@ -71,6 +72,12 @@ def test_validator_rejects_non_square_bounded_grids():
     ts = tiles_of(("w", "c", "w", "c"))
     inst = TilingInstance("bounded", ts, 1, ("w",), ("c",), ("w",), ("c",))
     assert validate_tiling(inst, Tiling(1, 2, ((0,), (0,)))) != []
+
+
+def test_validator_reports_a_zero_height_grid():
+    ts = tiles_of(("w", "c", "w", "c"))
+    inst = TilingInstance("corridor", ts, 2, None, ("c", "c"), None, ("c", "c"))
+    assert validate_tiling(inst, Tiling(2, 0, ())) == ["height must be at least 1"]
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +195,52 @@ def test_corridor_node_budget_raises():
 
 
 # ---------------------------------------------------------------------------
+# exact solver outputs
+#
+# sha256 of the outputs below: it pins the first bounded tiling in
+# cell order and the corridor's minimal height, its rows and where its
+# row budget runs out, not only whether a tiling exists.
+SOLVER_DIGEST = "f5d40beca2afd92f333cff0e9d6a8f1dd4be24af880cc90da55b44ea215e8843"
+
+
+def random_instance(rng):
+    colors = "wcdx"[: rng.randint(2, 4)]
+    count = rng.randint(1, 7)
+    tts = tuple(TileType(*(rng.choice(colors) for _ in range(4))) for _ in range(count))
+    ts = TileSet(tts, frozenset(colors))
+    n = rng.randint(1, 4)
+    pick = lambda: tuple(rng.choice(colors) for _ in range(n))
+    if rng.random() < 0.5:
+        return TilingInstance("bounded", ts, n, pick(), pick(), pick(), pick())
+    return TilingInstance("corridor", ts, n, None, pick(), None, pick())
+
+
+def corridor_outcome(instance, **kwargs):
+    try:
+        result = solve_corridor_tiling(instance, **kwargs)
+    except ResourceLimitError:
+        return "ResourceLimitError"
+    return result and (result[0], result[1].grid)
+
+
+def test_solver_outputs_are_pinned():
+    rng = random.Random(8080)
+    digest = hashlib.sha256()
+    solved = 0
+    for _ in range(3000):
+        inst = random_instance(rng)
+        if inst.variant == "bounded":
+            tiling = solve_bounded_tiling(inst)
+            out = tiling and tiling.grid
+        else:
+            out = corridor_outcome(inst, max_nodes=5), corridor_outcome(inst)
+        solved += out is not None and out[-1] is not None
+        digest.update(repr(out).encode())
+    assert solved == 406
+    assert digest.hexdigest() == SOLVER_DIGEST
+
+
+# ---------------------------------------------------------------------------
 # free corridor sides
 #
 # Corridor instances constrain top and bottom only.  A machine tile
@@ -251,6 +304,43 @@ def test_serialize_tile_set_is_stable():
 def test_parse_rejects_malformed_tile_fields():
     with pytest.raises(MalformedWordError):
         parse_tiling_word("w,c,w$t$b")
+
+
+# sha256 of the parse outcomes below: the decoded instance, or the
+# error's type and message, so the checks keep their order and wording
+PARSE_DIGEST = "f7b330bf9add80a273504eb4e93dd416d37b707de89e0e715ecd62b6bf2124f4"
+
+
+def parse_outcome(word):
+    try:
+        inst = parse_tiling_word(word)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    ts = inst.tile_set
+    return inst.variant, inst.width, ts.tiles, sorted(ts.colors), inst.l, inst.t, inst.r, inst.b
+
+
+def test_word_parses_are_pinned():
+    rng = random.Random(9090)
+    digest = hashlib.sha256()
+    parsed = 0
+    for _ in range(4000):
+        word = "".join(rng.choice("ab,;$#") for _ in range(rng.randint(0, 16)))
+        digest.update(repr(parse_outcome(word)).encode())
+    for _ in range(4000):
+        chars = list(instance_to_word(random_instance(rng)))
+        for _ in range(rng.randint(0, 3)):
+            spot = rng.randrange(len(chars) + 1)
+            edit = rng.choice("dir")
+            if edit == "i":
+                chars.insert(spot, rng.choice("ab,;$#w"))
+            elif spot < len(chars):
+                chars[spot : spot + 1] = rng.choice("ab,;$#w") if edit == "r" else ""
+        out = parse_outcome("".join(chars))
+        parsed += len(out) > 2
+        digest.update(repr(out).encode())
+    assert parsed == 1502
+    assert digest.hexdigest() == PARSE_DIGEST
 
 
 # ---------------------------------------------------------------------------
