@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..errors import MalformedInputError, MalformedWordError, ResourceLimitError
 
@@ -114,10 +115,19 @@ def encode_tm(tm: TmSpec) -> str:
 # header 0^S 1 0^T 11, then transitions 0^i 1 0^j 1 0^k 1 0^l 1 0^m joined by 11
 _ENCODING = re.compile(r"0+10+11(?:(?:0+1){4}0+(?:11(?:0+1){4}0+)*)?")
 
+# Distinct encodings whose decoded machine is kept.  Every word of a
+# machine language repeats one ⟨M⟩, so a handful suffices; the bound
+# keeps the memory fixed whatever words arrive.
+_ENCODINGS_KEPT = 64
 
+
+@lru_cache(maxsize=_ENCODINGS_KEPT)
 def decode_tm(bits: str) -> TmSpec:
     """Inverse of encode_tm; raises MalformedWordError on any deviation
-    from the scheme or an invalid resulting machine."""
+    from the scheme or an invalid resulting machine.
+
+    Each distinct encoding is decoded once and the frozen TmSpec shared;
+    a rejected one raises on every call, since a raise is not kept."""
     if not _ENCODING.fullmatch(bits):
         raise MalformedWordError("not a machine encoding 0^S 1 0^T 11 (transitions joined by 11)")
     states, tape_size, *fields = [len(run) for run in bits.split("1") if run]

@@ -18,11 +18,17 @@ tiles are ';'-separated, 'w,n,e,s' each; coloring entries are
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from ..errors import MalformedInputError, MalformedWordError, ResourceLimitError
 
 _DELIMITERS = set(",;$#")
+
+# Distinct tile-set fields whose parse is kept.  Every word of a tiling
+# language repeats one field, so a handful suffices; the bound keeps the
+# memory fixed whatever words arrive.
+_TILE_FIELDS_KEPT = 64
 
 
 class TileType(NamedTuple):
@@ -265,7 +271,10 @@ def serialize_tile_set(tile_set: TileSet) -> str:
     return ";".join(",".join(tile) for tile in tile_set.tiles)
 
 
+@lru_cache(maxsize=_TILE_FIELDS_KEPT)
 def _parse_tiles(field: str) -> tuple[TileType, ...]:
+    """The tiles of a tile-set field, parsed once per distinct field;
+    a malformed field raises on every call, since a raise is not kept."""
     tiles = []
     for chunk in field.split(";"):
         parts = chunk.split(",")

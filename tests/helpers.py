@@ -341,6 +341,23 @@ def all_words(alphabet, max_len):
             yield w
 
 
+def dfa_word_count(dfa, max_len):
+    """Accepted words of length <= max_len, by counting paths through the
+    (total) transition table one length at a time."""
+    ways = {dfa.start: 1}
+    total = 0
+    for length in range(max_len + 1):
+        total += sum(count for q, count in ways.items() if q in dfa.finals)
+        if length < max_len:
+            step = {}
+            for q, count in ways.items():
+                for sym in dfa.alphabet:
+                    r = dfa.delta[(q, sym)]
+                    step[r] = step.get(r, 0) + count
+            ways = step
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Brute-force tiling oracles (tiny instances only)
 

@@ -19,6 +19,8 @@ from regint.problems import (
     tm_from_json,
     tm_to_json,
 )
+from regint.reductions import reduce_tm_to_machine_lang
+from regint.search import enumerate_words
 
 from helpers import ACCEPT_NOW, M1, M2, NEVER
 
@@ -118,6 +120,73 @@ def test_malformed_words_are_non_members_in_every_mode():
 def test_unknown_mode_is_an_error():
     with pytest.raises(ValueError):
         member_machine_language("x", "EXPTIME")
+
+
+# ---------------------------------------------------------------------------
+# the decoded-machine cache
+
+
+def word_outcome(word):
+    try:
+        parsed = parse_machine_word(word)
+    except MalformedWordError as exc:
+        parsed = str(exc)
+    return parsed, [member_machine_language(word, mode) for mode in ("NP", "NL", "PSPACE")]
+
+
+def language_words(tm, extra):
+    return list(enumerate_words(reduce_tm_to_machine_lang(tm).nfa, len(encode_tm(tm)) + extra))
+
+
+@pytest.mark.parametrize("tm", [NEVER, M2], ids=["never", "m2"])
+def test_cached_decode_gives_the_fresh_answer(tm):
+    words = language_words(tm, 8)
+    assert len(words) == 247  # ⟨M⟩$x$aⁿ with |x| + n <= 6
+    decode_tm.cache_clear()
+    cached = [word_outcome(word) for word in words]
+    assert decode_tm.cache_info().misses == 1  # every word shares one ⟨M⟩
+    for word, want in zip(words, cached):
+        decode_tm.cache_clear()
+        assert word_outcome(word) == want
+    assert any(any(answers) for _, answers in cached) == (tm is M2)
+
+
+def test_decode_cache_keeps_failures_and_stays_bounded():
+    enc = encode_tm(NEVER)
+
+    def then(*runs):  # enc with one more transition, its zero-run lengths given
+        return enc + "11" + "1".join("0" * run for run in runs)
+
+    bad_encodings = {
+        enc + "00": "move code 4 not in 1..3",
+        enc + "1": "not a machine encoding",
+        then(3, 1, 1, 1, 1): "transition state index out of range 1..2",
+        then(1, 4, 1, 1, 1): "transition symbol index out of range 1..3",
+        then(2, 1, 1, 1, 1): "decoded machine invalid: delta: accept state may not",
+    }
+    words, bad_words = [], {}
+    for word in language_words(NEVER, 6)[::4]:
+        rest = word[len(enc):]
+        words.append(word)
+        for bad, message in bad_encodings.items():
+            words.append(bad + rest)
+            bad_words[bad + rest] = message
+    alone = {}
+    for word in words:
+        decode_tm.cache_clear()
+        alone[word] = word_outcome(word)
+    for word, message in bad_words.items():
+        assert alone[word][0].startswith(message)
+        assert alone[word][1] == [False, False, False]
+    decode_tm.cache_clear()
+    for word in words + words[::-1]:
+        assert word_outcome(word) == alone[word]
+
+    maxsize = decode_tm.cache_info().maxsize
+    assert maxsize is not None
+    for i in range(maxsize + 10):
+        assert decode_tm("0" * (i + 1) + "1011").states == i + 1
+    assert decode_tm.cache_info().currsize <= maxsize
 
 
 # ---------------------------------------------------------------------------

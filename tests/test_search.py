@@ -10,10 +10,17 @@ from hypothesis import given, settings
 
 from regint.automata import Nfa, determinize, parse_regex, regex_to_nfa
 from regint.errors import CheckerError, MalformedInputError
-from regint.problems import member_shuffled_string_eq
+from regint.problems import (
+    encode_tm,
+    member_bounded_tiling,
+    member_machine_language,
+    member_shuffled_string_eq,
+    serialize_tile_set,
+)
+from regint.reductions import reduce_ntm_to_tiles, reduce_ntm_to_tiling_lang, reduce_tm_to_machine_lang
 from regint.search import SearchBudget, WitnessReport, enumerate_words, find_witness
 
-from helpers import all_words
+from helpers import NEVER, all_words, dfa_word_count
 
 
 def nfa_for(text, letters):
@@ -137,6 +144,25 @@ def test_word_budget_boundary_still_exhausts():
     nfa = nfa_for("(aa)(aa)*", "a")
     tight = SearchBudget(max_word_length=10, max_words_tested=5, wall_clock_limit=5.0)
     assert find_witness(nfa, lambda w: False, tight).outcome == "exhausted"
+
+
+def test_exhausted_never_tiling_search_tests_every_word_once():
+    lang = reduce_ntm_to_tiling_lang(NEVER, "bounded")
+    bound = len(serialize_tile_set(reduce_ntm_to_tiles(NEVER))) + 20
+    rep = find_witness(lang.nfa, member_bounded_tiling, SearchBudget(bound, 100_000, 600.0))
+    assert (rep.outcome, rep.witness) == ("exhausted", None)
+    assert rep.words_tested == dfa_word_count(determinize(lang.nfa), bound) == 221
+
+
+def test_exhausted_never_machine_search_tests_every_word_once():
+    # the words are ⟨M⟩$x$aⁿ with |x| + n <= m: 2^(m+2) - m - 3 of them
+    extra = 10
+    m = extra - 2
+    bound = len(encode_tm(NEVER)) + extra
+    dfa = determinize(reduce_tm_to_machine_lang(NEVER).nfa)
+    rep = find_witness(dfa, lambda w: member_machine_language(w, "NP"), SearchBudget(bound, 10**6, 600.0))
+    assert (rep.outcome, rep.witness) == ("exhausted", None)
+    assert rep.words_tested == dfa_word_count(dfa, bound) == 2 ** (m + 2) - m - 3
 
 
 def test_wall_clock_budget_exceeded():

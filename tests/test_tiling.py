@@ -25,8 +25,11 @@ from regint.problems import (
     tiling_instance_to_json,
     validate_tiling,
 )
+from regint.problems.tiling import _parse_tiles
+from regint.reductions import reduce_ntm_to_tiles, reduce_ntm_to_tiling_lang
+from regint.search import enumerate_words
 
-from helpers import M2, brute_bounded, brute_corridor, instance_for
+from helpers import M2, NEVER, brute_bounded, brute_corridor, instance_for
 
 
 def tiles_of(*quads):
@@ -341,6 +344,54 @@ def test_word_parses_are_pinned():
         digest.update(repr(out).encode())
     assert parsed == 1502
     assert digest.hexdigest() == PARSE_DIGEST
+
+
+def word_outcome(word):
+    return parse_outcome(word), member_bounded_tiling(word), member_corridor_tiling(word)
+
+
+def never_words(variant, extra):
+    ser = serialize_tile_set(reduce_ntm_to_tiles(NEVER))
+    return list(enumerate_words(reduce_ntm_to_tiling_lang(NEVER, variant).nfa, len(ser) + extra))
+
+
+@pytest.mark.parametrize("variant", ["bounded", "corridor"])
+def test_cached_tile_parse_gives_the_fresh_answer(variant):
+    words = never_words(variant, 20)
+    assert len(words) == {"bounded": 221, "corridor": 459}[variant]
+    _parse_tiles.cache_clear()
+    cached = [word_outcome(word) for word in words]
+    assert _parse_tiles.cache_info().misses == 1  # every word shares one tile field
+    for word, want in zip(words, cached):
+        _parse_tiles.cache_clear()
+        assert word_outcome(word) == want
+
+
+def test_tile_parse_cache_keeps_failures_and_stays_bounded():
+    words, bad_words = [], []
+    for word in never_words("corridor", 16)[::8]:
+        field, rest = word.split("$", 1)
+        words.append(word)
+        for bad in (field + ",x", field + ";", field[:field.rindex(",") + 1]):
+            words.append(f"{bad}${rest}")
+            bad_words.append(words[-1])
+    alone = {}
+    for word in words:
+        _parse_tiles.cache_clear()
+        alone[word] = word_outcome(word)
+    for word in bad_words:
+        (error, message), *answers = alone[word]
+        assert error == "MalformedWordError" and message.startswith("bad tile")
+        assert answers == [False, False]
+    _parse_tiles.cache_clear()
+    for word in words + words[::-1]:
+        assert word_outcome(word) == alone[word]
+
+    maxsize = _parse_tiles.cache_info().maxsize
+    assert maxsize is not None
+    for i in range(maxsize + 10):
+        assert parse_tiling_word(f"c{i},c{i},c{i},c{i}$c{i}$c{i}").width == 1
+    assert _parse_tiles.cache_info().currsize <= maxsize
 
 
 # ---------------------------------------------------------------------------
