@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from ..errors import MalformedInputError, MalformedWordError, ResourceLimitError
 
@@ -67,10 +67,20 @@ class TmSpec:
                 raise MalformedInputError("delta: accept state may not have outgoing transitions")
 
     def moves_from(self) -> dict[tuple[int, str], list[TmTransition]]:
+        return {key: list(moves) for key, moves in self._moves.items()}
+
+    # Built once per machine: decode_tm shares one TmSpec across every
+    # word with the same encoding, so these are read-only by convention.
+    @cached_property
+    def _moves(self) -> dict[tuple[int, str], tuple[TmTransition, ...]]:
         out: dict[tuple[int, str], list[TmTransition]] = {}
         for t in sorted(self.transitions):
             out.setdefault((t[0], t[1]), []).append(t)
-        return out
+        return {key: tuple(moves) for key, moves in out.items()}
+
+    @cached_property
+    def _inputs(self) -> frozenset[str]:
+        return frozenset(self.input_alphabet)
 
 
 # --------------------------------------------------------------------------
@@ -174,7 +184,7 @@ def parse_machine_word(word: str) -> MachineWord:
         raise MalformedWordError("expected exactly two '$' separators")
     encoding, x, pads = parts
     tm = decode_tm(encoding)
-    inputs = set(tm.input_alphabet)
+    inputs = tm._inputs
     for c in x:
         if c not in inputs:
             raise MalformedWordError(f"input symbol {c!r} not in the machine's input alphabet")
@@ -233,7 +243,7 @@ def _accepts(
     """
     if tm.start == tm.accept:
         return True
-    moves = tm.moves_from()
+    moves = tm._moves
     frontier = [(tm.start, 0, tape0)]
     seen = set(frontier)
     depth = 0

@@ -286,7 +286,7 @@ def _parse_tiles(field: str) -> tuple[TileType, ...]:
 
 def _parse_coloring(field: str) -> tuple[str, ...]:
     entries = tuple(field.split("#"))
-    if any(not entry for entry in entries):
+    if "" in entries:
         raise MalformedWordError(f"bad coloring {field!r}: empty entry")
     return entries
 

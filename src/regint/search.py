@@ -52,33 +52,62 @@ class WitnessReport:
         }
 
 
+_BLOCK = 64  # states per block of the backward chain's memo
+
+
 def enumerate_words(automaton: Automaton, max_len: int) -> Iterator[str]:
     """All accepted words of length ≤ max_len, strictly shortlex, streamed.
 
     For each length L, a lexicographic depth-first search over state sets
     enters a branch only if its set reaches a final state in exactly the
     letters left (Ackerman & Shallit, "Efficient enumeration of words in
-    regular languages", TCS 410, 2009).  It keeps at most L frames, the
-    table `fin` and the branches of each (state set, `fin` value) pair it
-    reached: O(max_len·|Q|·|Σ|) for a DFA, however large the language.
+    regular languages", TCS 410, 2009).  Work is shared across lengths:
+    the successors of a state set are stepped once per call and kept, and
+    each (state set, `fin` value) pair keeps the branches filtered from
+    them.  The backward chain `fin` memoises its predecessor image per
+    block of `_BLOCK` states.  The word is spelled from one path string
+    cut back to the current depth, so the search holds at most L frames
+    and O(L) letters.  Memory is O(max_len·|Q|) for `fin`, plus the
+    successors of each state set reached and its filtered branches, plus
+    the block memo, however large the language.
     """
     t = automaton.tables
     fin = [t.finals]  # fin[r]: states with a path of exactly r letters to a final state
     first = {t.finals: 0}  # where each fin value first appeared, until one repeats
     period = 0
+    succ: dict[int, list[tuple[str, int]]] = {}  # state set -> its non-empty steps
     viable: dict[tuple[int, int], list[tuple[str, int]]] = {}
+    back: dict[tuple[int, int], int] = {}  # (block, its bits) -> their predecessors
+    block_mask = (1 << _BLOCK) - 1
 
     def branches(states: int, need: int) -> Iterator[tuple[str, int]]:
         out = viable.get((states, need))
         if out is None:
-            out = viable[states, need] = [(sym, nxt) for sym in t.symbols if (nxt := t.step(states, sym)) & need]
+            steps = succ.get(states)
+            if steps is None:
+                steps = succ[states] = [(sym, nxt) for sym in t.symbols if (nxt := t.step(states, sym))]
+            out = viable[states, need] = [step for step in steps if step[1] & need]
         return iter(out)
+
+    def predecessors(states: int) -> int:
+        out = 0
+        block = 0
+        while states:
+            bits = states & block_mask
+            if bits:
+                got = back.get((block, bits))
+                if got is None:
+                    got = back[block, bits] = image(bits << block * _BLOCK, t.pred)
+                out |= got
+            states >>= _BLOCK
+            block += 1
+        return out
 
     for length in range(max_len + 1):
         if period:
             fin.append(fin[-period])
         elif length:
-            grown = image(fin[-1], t.pred)
+            grown = predecessors(fin[-1])
             period = length - first.setdefault(grown, length)
             if period and not any(t.start & f for f in fin[-period:]):
                 return  # every longer length repeats this cycle, which holds no word
@@ -88,21 +117,24 @@ def enumerate_words(automaton: Automaton, max_len: int) -> Iterator[str]:
         if not length:
             yield ""
             continue
-        word: list[str] = []
+        path = ""  # path[:depth] spells the prefix of the innermost frame
+        depth = 0
         stack = [branches(t.start, fin[length - 1])]
         while stack:
             for sym, nxt in stack[-1]:  # the next branch of the innermost frame
                 break
             else:
                 stack.pop()
-                if word:
-                    word.pop()
+                depth -= 1
                 continue
-            if len(word) + 1 == length:
-                yield "".join(word) + sym
+            if depth + 1 == length:
+                yield path[:depth] + sym
             else:
-                word.append(sym)
-                stack.append(branches(nxt, fin[length - len(word) - 1]))
+                if len(path) > depth:  # cut back what the popped frames spelled
+                    path = path[:depth]
+                path += sym
+                depth += 1
+                stack.append(branches(nxt, fin[length - depth - 1]))
 
 
 def find_witness(

@@ -1,5 +1,7 @@
 """Shortlex enumeration and the budgeted witness search."""
 
+import collections
+import hashlib
 import itertools
 import time
 import tracemalloc
@@ -8,7 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from regint.automata import Nfa, determinize, parse_regex, regex_to_nfa
+from regint.automata import Nfa, Tables, determinize, parse_regex, regex_to_nfa
 from regint.errors import CheckerError, MalformedInputError
 from regint.problems import (
     encode_tm,
@@ -103,6 +105,64 @@ def simulate(nfa, word):
 @given(nfas())
 def test_enumerate_matches_a_brute_force_oracle(nfa):
     assert list(enumerate_words(nfa, 5)) == [w for w in all_words(nfa.alphabet, 5) if simulate(nfa, w)]
+
+
+def stream_digest(words):
+    h = hashlib.sha256()
+    count = 0
+    for word in words:
+        h.update(word.encode() + b"\n")
+        count += 1
+    return count, h.hexdigest()
+
+
+def never_tiling_search():
+    """The NEVER tiling language and the search-enum length bound."""
+    lang = reduce_ntm_to_tiling_lang(NEVER, "bounded")
+    return lang.nfa, len(serialize_tile_set(reduce_ntm_to_tiles(NEVER))) + 30
+
+
+def test_enumerate_never_tiling_stream_is_pinned():
+    nfa, bound = never_tiling_search()
+    assert stream_digest(enumerate_words(nfa, bound)) == (
+        14_693, "e46e2a3b562700363738906bf9a1f21e96a4aecb95cc7e9aef9fc81edfa9f65e")
+
+
+def test_enumerate_never_machine_stream_is_pinned():
+    dfa = determinize(reduce_tm_to_machine_lang(NEVER).nfa)
+    assert stream_digest(enumerate_words(dfa, len(encode_tm(NEVER)) + 16)) == (
+        65_519, "66e775bda0034dd754890ea31c00113104ff6522b8e7de5f395e848c65d3c877")
+
+
+def test_enumerate_steps_each_state_set_once_per_symbol(monkeypatch):
+    # the tiling language's length-exact targets never repeat across its
+    # live lengths, so sharing successors is what keeps this count down
+    nfa, bound = never_tiling_search()
+    step = Tables.step
+    calls = collections.Counter()
+
+    def counted(self, states, sym):
+        calls[states, sym] += 1
+        return step(self, states, sym)
+
+    monkeypatch.setattr(Tables, "step", counted)
+    assert sum(1 for _ in enumerate_words(nfa, bound)) == 14_693
+    assert calls and max(calls.values()) == 1
+
+
+def test_enumerate_long_words_in_linear_memory():
+    # a stack of prefix strings would hold 1 + ... + 10,000 letters, about
+    # 50 MB, on the way down to the last word
+    nfa = nfa_for("(" + "a" * 500 + ")*", "a")
+    nfa.tables  # built outside the traced region
+    tracemalloc.start()
+    try:
+        words = list(enumerate_words(nfa, 10_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert words == ["a" * n for n in range(0, 10_001, 500)]
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
