@@ -19,8 +19,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import AlphabetError, MalformedInputError, RegexSyntaxError
-
-METACHARS = frozenset("~_()|*")
+from .symbols import METACHARS
 
 
 # --------------------------------------------------------------------------
@@ -246,12 +245,23 @@ class Tables:
     symbols: tuple[str, ...]  # the alphabet, sorted
     closures: tuple[int, ...]  # closures[q]: silent closure of {q}
     moves: Mapping[str, tuple[int, ...]]  # moves[sym][q]: closed successors of q
-    pred: tuple[int, ...]  # pred[p]: states q with p in some moves[sym][q]
     start: int
     finals: int
 
     def step(self, states: int, sym: str) -> int:
         return image(states, self.moves[sym])
+
+    @cached_property
+    def pred(self) -> tuple[int, ...]:
+        """pred[p]: states q with p in some moves[sym][q].  Built on first
+        read, since only the backward searches (`is_empty`, the
+        enumerator, the deciders) need it."""
+        pred = [0] * len(self.closures)
+        for row in self.moves.values():
+            for q, succ in enumerate(row):
+                for p in _bits(succ):
+                    pred[p] |= 1 << q
+        return tuple(pred)
 
 
 def _compile(automaton: Automaton) -> Tables:
@@ -271,13 +281,8 @@ def _compile(automaton: Automaton) -> Tables:
             if label is not None:
                 rows[label][src] |= closures[dst]
         moves = {sym: tuple(row) for sym, row in rows.items()}
-    pred = [0] * n
-    for row in moves.values():
-        for q, succ in enumerate(row):
-            for p in _bits(succ):
-                pred[p] |= 1 << q
     finals = sum(1 << q for q in automaton.finals)
-    return Tables(symbols, closures, moves, tuple(pred), closures[automaton.start], finals)
+    return Tables(symbols, closures, moves, closures[automaton.start], finals)
 
 
 def closure(nfa: Nfa, states: Iterable[int]) -> frozenset[int]:

@@ -15,54 +15,38 @@ import json
 import sys
 from typing import Iterable, Optional
 
-from .automata import Dfa, automaton_from_json
+import regint  # public names import their modules on first access, so a call loads only what it runs
+
 from .errors import MalformedInputError, ReginError, ResourceLimitError
-from .problems import (
-    PAD,
-    PROBLEMS,
-    Problem,
-    check_bpcp,
-    pcp_from_json,
-    solve_bounded_tiling,
-    solve_corridor_tiling,
-    tile_set_to_json,
-    tiling_instance_from_json,
-    tm_from_json,
-)
-from .reductions import (
-    reduce_ntm_to_tiles,
-    reduce_ntm_to_tiling_lang,
-    reduce_pcp_to_bpcp_lang,
-    reduce_pcp_to_shuffled_regex,
-    reduce_tm_to_machine_lang,
-)
-from .search import SearchBudget, find_witness
+from .problems import PAD, PROBLEMS, Problem
 
 # reduction kind -> builder from (input document, --variant) to the printed payload
 REDUCTIONS = {
-    "pcp-to-shuffled-regex": lambda data, _: reduce_pcp_to_shuffled_regex(pcp_from_json(data), PAD).to_json(),
-    "pcp-to-bpcp": lambda data, _: reduce_pcp_to_bpcp_lang(pcp_from_json(data)).to_json(),
-    "tm-to-machine-lang": lambda data, _: reduce_tm_to_machine_lang(tm_from_json(data)).to_json(),
-    "ntm-to-tiles": lambda data, _: tile_set_to_json(reduce_ntm_to_tiles(tm_from_json(data))),
-    "ntm-to-tiling-lang": lambda data, variant: reduce_ntm_to_tiling_lang(tm_from_json(data), variant).to_json(),
+    "pcp-to-shuffled-regex":
+        lambda data, _: regint.reduce_pcp_to_shuffled_regex(regint.pcp_from_json(data), PAD).to_json(),
+    "pcp-to-bpcp": lambda data, _: regint.reduce_pcp_to_bpcp_lang(regint.pcp_from_json(data)).to_json(),
+    "tm-to-machine-lang": lambda data, _: regint.reduce_tm_to_machine_lang(regint.tm_from_json(data)).to_json(),
+    "ntm-to-tiles": lambda data, _: regint.tile_set_to_json(regint.reduce_ntm_to_tiles(regint.tm_from_json(data))),
+    "ntm-to-tiling-lang":
+        lambda data, variant: regint.reduce_ntm_to_tiling_lang(regint.tm_from_json(data), variant).to_json(),
 }
 
 
 def _solve_bounded_tiling(data):
-    instance = tiling_instance_from_json(data)
+    instance = regint.tiling_instance_from_json(data)
     if instance.variant != "bounded":
         raise MalformedInputError("variant: expected bounded")
-    tiling = solve_bounded_tiling(instance)
+    tiling = regint.solve_bounded_tiling(instance)
     if tiling is None:
         return None
     return {"width": tiling.width, "height": tiling.height, "grid": [list(row) for row in tiling.grid]}
 
 
 def _solve_corridor_tiling(data):
-    instance = tiling_instance_from_json(data)
+    instance = regint.tiling_instance_from_json(data)
     if instance.variant != "corridor":
         raise MalformedInputError("variant: expected corridor")
-    result = solve_corridor_tiling(instance)
+    result = regint.solve_corridor_tiling(instance)
     if result is None:
         return None
     height, tiling = result
@@ -75,8 +59,8 @@ def _solve_bpcp(data):
     bound = data["k"]
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
         raise MalformedInputError("k: expected a positive integer")
-    instance = pcp_from_json({key: data[key] for key in ("alphabet", "a", "b") if key in data})
-    solution = check_bpcp(instance, bound)
+    instance = regint.pcp_from_json({key: data[key] for key in ("alphabet", "a", "b") if key in data})
+    solution = regint.check_bpcp(instance, bound)
     return None if solution is None else {"indices": list(solution.indices), "bound": solution.bound}
 
 
@@ -136,8 +120,8 @@ def _run_check(args) -> int:
 
 
 def _run_decide(args) -> int:
-    automaton = automaton_from_json(_load_json(args.dfa))
-    if not isinstance(automaton, Dfa):
+    automaton = regint.automaton_from_json(_load_json(args.dfa))
+    if not isinstance(automaton, regint.Dfa):
         raise MalformedInputError("kind: decide expects a dfa")
     problem = PROBLEMS[args.problem]
     verdict, witness = problem.decider(automaton, _alphabet(problem, args.alphabet, automaton.alphabet))
@@ -146,15 +130,15 @@ def _run_decide(args) -> int:
 
 
 def _run_search(args) -> int:
-    automaton = automaton_from_json(_load_json(args.automaton))
+    automaton = regint.automaton_from_json(_load_json(args.automaton))
     problem = PROBLEMS[args.problem]
     checker = problem.checker(_alphabet(problem, args.alphabet, automaton.alphabet))
-    budget = SearchBudget(
+    budget = regint.SearchBudget(
         max_word_length=args.max_len,
         max_words_tested=args.max_words,
         wall_clock_limit=args.timeout,
     )
-    report = find_witness(automaton, checker, budget)
+    report = regint.find_witness(automaton, checker, budget)
     _emit(report.to_json(deterministic=args.deterministic))
     return {"witness": 0, "exhausted": 1, "budget-exceeded": 3}[report.outcome]
 

@@ -13,8 +13,7 @@ from typing import Iterable, Optional
 from .automata import Dfa, Nfa, _bits, _reach, erase_letters, image, intersect_dfa
 from .errors import AlphabetError
 from .pda import pda_intersect_dfa  # noqa: F401  (unused; bench/tracer.py wraps it here by name)
-
-SEPARATOR = "$"
+from .symbols import SEPARATOR
 
 
 def decide_intreg_unary_shuffled(a: Dfa, unary_symbol: str, pad_symbol: str) -> bool:

@@ -13,57 +13,14 @@ decidable, a decider.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from ..automata import METACHARS, Dfa
-from ..deciders import SEPARATOR, decide_intreg_sequential_string_eq, decide_intreg_unary_shuffled
+from .. import _lazy_exports
 from ..errors import MalformedInputError
-from .strings import (
-    interleave,
-    member_sequential_string_eq,
-    member_shuffled_regex_eq,
-    member_shuffled_string_eq,
-    pad_to_common,
-)
-from .bpcp import (
-    BpcpSolution,
-    PcpInstance,
-    bin_decode,
-    bin_encode,
-    check_bpcp,
-    member_bpcp,
-    parse_bpcp_word,
-    pcp_from_json,
-    pcp_to_json,
-)
-from .machines import (
-    MachineWord,
-    TmSpec,
-    decode_tm,
-    encode_tm,
-    member_machine_language,
-    parse_machine_word,
-    tm_from_json,
-    tm_to_json,
-)
-from .tiling import (
-    TileSet,
-    TileType,
-    Tiling,
-    TilingInstance,
-    instance_to_word,
-    member_bounded_tiling,
-    member_corridor_tiling,
-    parse_tiling_word,
-    serialize_tile_set,
-    solve_bounded_tiling,
-    solve_corridor_tiling,
-    tile_set_from_json,
-    tile_set_to_json,
-    tiling_instance_from_json,
-    tiling_instance_to_json,
-    validate_tiling,
-)
+from ..symbols import METACHARS, SEPARATOR
+
+if TYPE_CHECKING:
+    from ..automata import Dfa
 
 PAD = "_"
 
@@ -84,8 +41,17 @@ class Problem:
     decider: Optional[Callable[[Dfa, frozenset[str]], tuple[bool, Optional[str]]]] = None
 
 
+# Each factory imports its checker's or decider's module when it is
+# called, and binds the member function once per call, not once per word.
+
 def _shuffled(alphabet: frozenset[str]) -> Callable[[str], bool]:
+    from .strings import member_shuffled_string_eq
     return lambda word: member_shuffled_string_eq(word, alphabet, PAD)
+
+
+def _sequential(alphabet: frozenset[str]) -> Callable[[str], bool]:
+    from .strings import member_sequential_string_eq
+    return lambda word: member_sequential_string_eq(word, alphabet, PAD)
 
 
 def _unary(alphabet: frozenset[str]) -> Callable[[str], bool]:
@@ -94,69 +60,74 @@ def _unary(alphabet: frozenset[str]) -> Callable[[str], bool]:
     return _shuffled(alphabet)
 
 
+def _regex(alphabet: frozenset[str]) -> Callable[[str], bool]:
+    from .strings import member_shuffled_regex_eq
+    return lambda word: member_shuffled_regex_eq(word, alphabet)
+
+
+def _bpcp(_) -> Callable[[str], bool]:
+    from .bpcp import member_bpcp
+    return member_bpcp
+
+
+def _bounded_tiling(_) -> Callable[[str], bool]:
+    from .tiling import member_bounded_tiling
+    return member_bounded_tiling
+
+
+def _corridor_tiling(_) -> Callable[[str], bool]:
+    from .tiling import member_corridor_tiling
+    return member_corridor_tiling
+
+
+def _machine(mode: str) -> Callable[[frozenset[str]], Callable[[str], bool]]:
+    def checker(_) -> Callable[[str], bool]:
+        from .machines import member_machine_language
+        return lambda word: member_machine_language(word, mode)
+    return checker
+
+
+def _decide_sequential(dfa: Dfa, alphabet: frozenset[str]) -> tuple[bool, Optional[str]]:
+    from ..deciders import decide_intreg_sequential_string_eq
+    return decide_intreg_sequential_string_eq(dfa, alphabet, PAD)
+
+
 def _decide_unary(dfa: Dfa, alphabet: frozenset[str]) -> tuple[bool, None]:
+    from ..deciders import decide_intreg_unary_shuffled
     if len(alphabet) != 1:
         raise MalformedInputError("alphabet: need exactly one unary symbol")
     return decide_intreg_unary_shuffled(dfa, next(iter(alphabet)), PAD), None
 
 
-def _machine(mode: str) -> Callable[[frozenset[str]], Callable[[str], bool]]:
-    return lambda _: lambda word: member_machine_language(word, mode)
-
-
 PROBLEMS: dict[str, Problem] = {p.name: p for p in (
     Problem("shuffled-string-eq", frozenset({PAD}), _shuffled),
-    Problem("sequential-string-eq", frozenset({PAD, SEPARATOR}),
-            lambda alphabet: lambda word: member_sequential_string_eq(word, alphabet, PAD),
-            lambda dfa, alphabet: decide_intreg_sequential_string_eq(dfa, alphabet, PAD)),
+    Problem("sequential-string-eq", frozenset({PAD, SEPARATOR}), _sequential, _decide_sequential),
     Problem("unary-shuffled-string-eq", frozenset({PAD}), _unary, _decide_unary),
-    Problem("shuffled-regex-eq", METACHARS,
-            lambda alphabet: lambda word: member_shuffled_regex_eq(word, alphabet)),
-    Problem("bpcp", None, lambda _: member_bpcp),
-    Problem("bounded-tiling", None, lambda _: member_bounded_tiling),
-    Problem("corridor-tiling", None, lambda _: member_corridor_tiling),
+    Problem("shuffled-regex-eq", METACHARS, _regex),
+    Problem("bpcp", None, _bpcp),
+    Problem("bounded-tiling", None, _bounded_tiling),
+    Problem("corridor-tiling", None, _corridor_tiling),
     Problem("machine-nl", None, _machine("NL")),
     Problem("machine-np", None, _machine("NP")),
     Problem("machine-pspace", None, _machine("PSPACE")),
 )}
 
-__all__ = [
-    "BpcpSolution",
-    "MachineWord",
-    "PcpInstance",
-    "TileSet",
-    "TileType",
-    "Tiling",
-    "TilingInstance",
-    "TmSpec",
-    "bin_decode",
-    "bin_encode",
-    "check_bpcp",
-    "decode_tm",
-    "encode_tm",
-    "instance_to_word",
-    "interleave",
-    "member_bounded_tiling",
-    "member_bpcp",
-    "member_corridor_tiling",
-    "member_machine_language",
-    "member_sequential_string_eq",
-    "member_shuffled_regex_eq",
-    "member_shuffled_string_eq",
-    "pad_to_common",
-    "parse_bpcp_word",
-    "parse_machine_word",
-    "parse_tiling_word",
-    "pcp_from_json",
-    "pcp_to_json",
-    "serialize_tile_set",
-    "solve_bounded_tiling",
-    "solve_corridor_tiling",
-    "tile_set_from_json",
-    "tile_set_to_json",
-    "tiling_instance_from_json",
-    "tiling_instance_to_json",
-    "tm_from_json",
-    "tm_to_json",
-    "validate_tiling",
-]
+# public name -> the submodule that defines it, imported on first access
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "bpcp": ("BpcpSolution", "PcpInstance", "bin_decode", "bin_encode", "check_bpcp", "member_bpcp",
+                 "parse_bpcp_word", "pcp_from_json", "pcp_to_json"),
+        "machines": ("MachineWord", "TmSpec", "decode_tm", "encode_tm", "member_machine_language",
+                     "parse_machine_word", "tm_from_json", "tm_to_json"),
+        "strings": ("interleave", "member_sequential_string_eq", "member_shuffled_regex_eq",
+                    "member_shuffled_string_eq", "pad_to_common"),
+        "tiling": ("TileSet", "TileType", "Tiling", "TilingInstance", "instance_to_word", "member_bounded_tiling",
+                   "member_corridor_tiling", "parse_tiling_word", "serialize_tile_set", "solve_bounded_tiling",
+                   "solve_corridor_tiling", "tile_set_from_json", "tile_set_to_json", "tiling_instance_from_json",
+                   "tiling_instance_to_json", "validate_tiling"),
+    }.items()
+    for name in names
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

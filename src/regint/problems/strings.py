@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..automata import equivalent, parse_regex, regex_to_nfa
 from ..errors import RegexSyntaxError
+from ..symbols import SEPARATOR
 
 
 def pad_to_common(u: str, v: str, pad_symbol: str) -> tuple[str, str]:
@@ -45,9 +45,9 @@ def member_shuffled_string_eq(word: str, alphabet: Iterable[str], pad_symbol: st
 def member_sequential_string_eq(word: str, alphabet: Iterable[str], pad_symbol: str) -> bool:
     """Is `word` of the form u$v with equal pad-erased sides?"""
     alpha = frozenset(alphabet) | {pad_symbol}
-    if word.count("$") != 1:
+    if word.count(SEPARATOR) != 1:
         return False
-    u, v = word.split("$")
+    u, v = word.split(SEPARATOR)
     if any(c not in alpha for c in u) or any(c not in alpha for c in v):
         return False
     return u.replace(pad_symbol, "") == v.replace(pad_symbol, "")
@@ -60,6 +60,8 @@ def member_shuffled_regex_eq(word: str, alphabet: Iterable[str]) -> bool:
     padding atoms parse as the empty word, so padding never changes a
     track's language.  Unparseable tracks make the word a non-member.
     """
+    from ..automata import equivalent, parse_regex, regex_to_nfa  # only this checker needs the core
+
     if len(word) % 2 != 0:
         return False
     try:

@@ -322,24 +322,33 @@ def instance_to_word(instance: TilingInstance) -> str:
     return "$".join(fields)
 
 
+def _widths_agree(word: str, sides: int) -> bool:
+    """Does `word` have `sides` colorings after its tile set, all of one
+    width?  Every word that parses as a bounded (4 sides) or corridor
+    (2 sides) instance does, so a word that fails is a non-member
+    without the parse, its coloring split or its error message."""
+    fields = word.split("$")
+    return len(fields) == sides + 1 and len({f.count("#") for f in fields[1:]}) == 1
+
+
 def member_bounded_tiling(word: str) -> bool:
     """Does the word encode a solvable bounded instance?"""
+    if not _widths_agree(word, 4):
+        return False
     try:
         instance = parse_tiling_word(word)
     except MalformedWordError:
-        return False
-    if instance.variant != "bounded":
         return False
     return solve_bounded_tiling(instance) is not None
 
 
 def member_corridor_tiling(word: str, max_nodes: int = 200_000) -> bool:
     """Does the word encode a corridor instance tileable at some height?"""
+    if not _widths_agree(word, 2):
+        return False
     try:
         instance = parse_tiling_word(word)
     except MalformedWordError:
-        return False
-    if instance.variant != "corridor":
         return False
     return solve_corridor_tiling(instance, max_nodes=max_nodes) is not None
 

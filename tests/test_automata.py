@@ -267,6 +267,17 @@ def test_equivalence_works_on_nfas_too():
                       regex_to_nfa(parse_regex("_|ab(ab)*", AB)))
 
 
+def test_only_backward_searches_build_the_predecessor_table():
+    e, f = (regex_to_nfa(parse_regex(text, AB)) for text in ("(a|b)*abb", "(b*a*)*abb"))
+    assert equivalent(e, f)
+    dfa = determinize(e)
+    assert accepts(dfa, "babb") and accepts(e, "babb")
+    assert all("pred" not in x.tables.__dict__ for x in (e, f, dfa))
+    assert not is_empty(dfa)
+    assert "pred" in dfa.tables.__dict__
+    assert all(dfa.tables.pred[dst] >> src & 1 for (src, _), dst in dfa.delta.items())
+
+
 # ---------------------------------------------------------------------------
 # JSON wire format
 

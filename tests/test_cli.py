@@ -5,15 +5,20 @@ every path, including usage errors, and verdicts ride the exit code
 (0 yes, 1 no, 2 malformed, 3 budget exceeded).
 """
 
+import ast
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
+import regint
 from regint.automata import Dfa, Nfa, automaton_to_json, parse_regex, regex_to_nfa
 from regint.cli import REDUCTIONS, main
 from regint.problems import PROBLEMS, pcp_to_json, tiling_instance_to_json, tm_to_json
@@ -598,3 +603,46 @@ def test_every_invocation_keeps_the_output_contract(tmp_path, invocation):
         assert isinstance(doc, dict) and set(doc) == {"error"}
     if code == 3:
         assert doc["outcome"] == "budget-exceeded"
+
+
+# ---------------------------------------------------------------------------
+# imports: a call loads only the modules its subcommand runs
+
+# every call loads the package, its problem table and the two leaf modules that reads
+CALL_BASE = {"regint", "regint.errors", "regint.problems", "regint.symbols"}
+DECIDE_MODULES = {"regint.automata", "regint.deciders", "regint.pda"}
+REDUCE_MODULES = {"regint.automata", "regint.reductions", "regint.problems.bpcp",
+                  "regint.problems.machines", "regint.problems.strings", "regint.problems.tiling"}
+# `python -m regint.cli ARGS`, then the regint modules in sys.modules on stderr
+RUN_AND_LIST_MODULES = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(sorted(m for m in sys.modules if m.startswith('regint')), file=sys.stderr))\n"
+    "runpy.run_module('regint.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (("check", "--problem", "shuffled-string-eq", "--word", "a_ba_b"), {"regint.problems.strings"}),
+    (("check", "--problem", "sequential-string-eq", "--word", "ab$ab"), {"regint.problems.strings"}),
+    (("check", "--problem", "shuffled-regex-eq", "--word", "aaaa"),
+     {"regint.problems.strings", "regint.automata"}),
+    (("check", "--problem", "bpcp", "--word", "1#10111#10#10$111#10#0#0$100"), {"regint.problems.bpcp"}),
+    (("check", "--problem", "bounded-tiling", "--word", "a,a,a,a$a$a$a$a"), {"regint.problems.tiling"}),
+    (("check", "--problem", "machine-np", "--word", f"{M2_ENC}$01$aa"), {"regint.problems.machines"}),
+    (("decide", "--problem", "sequential-string-eq", "--dfa", "{dfa_abab}"), DECIDE_MODULES),
+    (("decide", "--problem", "unary-shuffled-string-eq", "--dfa", "{dfa_aa}"), DECIDE_MODULES),
+    (("search", "--problem", "shuffled-string-eq", "--automaton", "{aa_plus}", "--max-len", "6"),
+     {"regint.automata", "regint.search", "regint.problems.strings"}),
+    (("search", "--problem", "corridor-tiling", "--automaton", "{nfa}", "--max-len", "3"),
+     {"regint.automata", "regint.search", "regint.problems.tiling"}),
+    (("reduce", "pcp-to-bpcp", "--in", "{classic}"), REDUCE_MODULES),
+    (("solve", "bpcp", "--in", "{classic_k4}"), {"regint.problems.bpcp"}),
+    (("solve", "bounded-tiling", "--in", "{m1_bounded}"), {"regint.problems.tiling"}),
+])
+def test_each_call_imports_only_what_it_runs(files, argv, loaded):
+    argv = [a.format(**files) for a in argv]
+    src = str(Path(regint.__file__).parents[1])  # the package under test
+    proc = subprocess.run([sys.executable, "-c", RUN_AND_LIST_MODULES, *argv], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode in (0, 1), proc.stdout
+    assert ast.literal_eval(proc.stderr) == sorted(CALL_BASE | loaded)

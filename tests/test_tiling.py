@@ -25,6 +25,7 @@ from regint.problems import (
     tiling_instance_to_json,
     validate_tiling,
 )
+from regint.problems import tiling
 from regint.problems.tiling import _parse_tiles
 from regint.reductions import reduce_ntm_to_tiles, reduce_ntm_to_tiling_lang
 from regint.search import enumerate_words
@@ -365,6 +366,26 @@ def test_cached_tile_parse_gives_the_fresh_answer(variant):
     for word, want in zip(words, cached):
         _parse_tiles.cache_clear()
         assert word_outcome(word) == want
+
+
+def test_a_width_mismatch_is_rejected_without_the_parse(monkeypatch):
+    # 652 of these 680 words have colorings of different widths, as in a
+    # tiling-language search; the checkers reject them before parsing
+    words = never_words("bounded", 20) + never_words("corridor", 20)
+    want = []
+    for word in words:
+        try:
+            inst = parse_tiling_word(word)
+        except MalformedWordError:
+            want.append((False, False))
+            continue
+        want.append((inst.variant == "bounded" and solve_bounded_tiling(inst) is not None,
+                     inst.variant == "corridor" and solve_corridor_tiling(inst) is not None))
+    parsed = []
+    monkeypatch.setattr(tiling, "parse_tiling_word", lambda word: parsed.append(word) or parse_tiling_word(word))
+    assert [(member_bounded_tiling(w), member_corridor_tiling(w)) for w in words] == want
+    assert len(parsed) == 28
+    assert not any("lengths differ" in parse_outcome(word)[-1] for word in parsed)
 
 
 def test_tile_parse_cache_keeps_failures_and_stays_bounded():
