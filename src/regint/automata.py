@@ -517,18 +517,13 @@ def automaton_from_json(obj: object) -> Automaton:
         if label is not None and not (isinstance(label, str) and len(label) == 1):
             raise MalformedInputError(f"transitions[{i}].on: expected a single character or null")
         triples.append((src, label, dst))
-    try:
-        if kind == "nfa":
-            return Nfa(states, frozenset(alphabet), frozenset(triples), start, frozenset(finals))
-        delta: dict[tuple[int, str], int] = {}
-        for i, (src, label, dst) in enumerate(triples):
-            if label is None:
-                raise MalformedInputError(f"transitions[{i}].on: silent moves are not allowed in a dfa")
-            if (src, label) in delta:
-                raise MalformedInputError(f"transitions[{i}]: duplicate move for state {src} on {label!r}")
-            delta[(src, label)] = dst
-        return Dfa(states, frozenset(alphabet), delta, start, frozenset(finals))
-    except MalformedInputError:
-        raise
-    except ValueError as exc:
-        raise MalformedInputError(str(exc)) from exc
+    if kind == "nfa":
+        return Nfa(states, frozenset(alphabet), frozenset(triples), start, frozenset(finals))
+    delta: dict[tuple[int, str], int] = {}
+    for i, (src, label, dst) in enumerate(triples):
+        if label is None:
+            raise MalformedInputError(f"transitions[{i}].on: silent moves are not allowed in a dfa")
+        if (src, label) in delta:
+            raise MalformedInputError(f"transitions[{i}]: duplicate move for state {src} on {label!r}")
+        delta[(src, label)] = dst
+    return Dfa(states, frozenset(alphabet), delta, start, frozenset(finals))

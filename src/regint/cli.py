@@ -32,46 +32,6 @@ REDUCTIONS = {
 }
 
 
-def _solve_bounded_tiling(data):
-    instance = regint.tiling_instance_from_json(data)
-    if instance.variant != "bounded":
-        raise MalformedInputError("variant: expected bounded")
-    tiling = regint.solve_bounded_tiling(instance)
-    if tiling is None:
-        return None
-    return {"width": tiling.width, "height": tiling.height, "grid": [list(row) for row in tiling.grid]}
-
-
-def _solve_corridor_tiling(data):
-    instance = regint.tiling_instance_from_json(data)
-    if instance.variant != "corridor":
-        raise MalformedInputError("variant: expected corridor")
-    result = regint.solve_corridor_tiling(instance)
-    if result is None:
-        return None
-    height, tiling = result
-    return {"height": height, "width": tiling.width, "grid": [list(row) for row in tiling.grid]}
-
-
-def _solve_bpcp(data):
-    if not isinstance(data, dict) or "k" not in data:
-        raise MalformedInputError("k: missing bound for bpcp")
-    bound = data["k"]
-    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
-        raise MalformedInputError("k: expected a positive integer")
-    instance = regint.pcp_from_json({key: data[key] for key in ("alphabet", "a", "b") if key in data})
-    solution = regint.check_bpcp(instance, bound)
-    return None if solution is None else {"indices": list(solution.indices), "bound": solution.bound}
-
-
-# solve target -> solver from the input document to the printed payload, None when unsolvable
-SOLVERS = {
-    "bounded-tiling": _solve_bounded_tiling,
-    "corridor-tiling": _solve_corridor_tiling,
-    "bpcp": _solve_bpcp,
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """Argument errors and -h/--help also land on stdout as JSON, keeping
     the output contract on the malformed-invocation and help paths."""
@@ -154,7 +114,7 @@ def _run_reduce(args) -> int:
 
 
 def _run_solve(args) -> int:
-    payload = SOLVERS[args.target](_load_json(args.infile))
+    payload = PROBLEMS[args.target].solver(_load_json(args.infile))
     _emit("none" if payload is None else payload)
     return 1 if payload is None else 0
 
@@ -196,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     reduce_cmd.set_defaults(run=_run_reduce)
 
     solve = sub.add_parser("solve", help="solve a concrete instance file")
-    solve.add_argument("target", choices=SOLVERS)
+    solve.add_argument("target", choices=tuple(name for name, p in PROBLEMS.items() if p.solver))
     solve.add_argument("--in", dest="infile", required=True)
     solve.set_defaults(run=_run_solve)
     return parser
@@ -209,6 +169,9 @@ def main(argv=None) -> int:
         return args.run(args)
     except ResourceLimitError as exc:
         _emit({"error": f"resource limit: {exc}"})
+        return 2
+    except MemoryError:  # an input too large to hold, e.g. an automaton of 10**13 states
+        _emit({"error": "resource limit: out of memory"})
         return 2
     except ReginError as exc:
         _emit({"error": str(exc)})

@@ -6,8 +6,9 @@ witness-search harness feeds these checkers raw enumerated words.
 Resource-capped checkers raise ResourceLimitError rather than guess.
 
 PROBLEMS is the one table of problem languages P: for each, the symbols
-alphabet inference drops, a checker factory and, where L(A) ∩ P ≠ ∅ is
-decidable, a decider.
+alphabet inference drops, a checker factory, where L(A) ∩ P ≠ ∅ is
+decidable a decider, and where a concrete instance can be solved a
+solver.
 """
 
 from __future__ import annotations
@@ -31,18 +32,22 @@ class Problem:
 
     `reserved` holds the encoding symbols that alphabet inference drops
     from the inferred letters; None means P takes no alphabet.
-    `checker(alphabet)` returns the membership test for one word, and
-    `decider(dfa, alphabet)`, when P has one, returns (verdict, witness).
+    `checker(alphabet)` returns the membership test for one word;
+    `decider(dfa, alphabet)`, when P has one, returns (verdict, witness);
+    `solver(document)`, when P has one, reads an instance document and
+    returns the printed solution, or None when there is none.
     """
 
     name: str
     reserved: Optional[frozenset[str]]
     checker: Callable[[frozenset[str]], Callable[[str], bool]]
     decider: Optional[Callable[[Dfa, frozenset[str]], tuple[bool, Optional[str]]]] = None
+    solver: Optional[Callable[[object], Optional[dict]]] = None
 
 
-# Each factory imports its checker's or decider's module when it is
-# called, and binds the member function once per call, not once per word.
+# Each factory imports its checker's, decider's or solver's module when
+# it is called, and binds the member function once per call, not once
+# per word.
 
 def _shuffled(alphabet: frozenset[str]) -> Callable[[str], bool]:
     from .strings import member_shuffled_string_eq
@@ -99,14 +104,41 @@ def _decide_unary(dfa: Dfa, alphabet: frozenset[str]) -> tuple[bool, None]:
     return decide_intreg_unary_shuffled(dfa, next(iter(alphabet)), PAD), None
 
 
+def _solve_bpcp(document: object) -> Optional[dict]:
+    from .bpcp import check_bpcp, pcp_from_json
+    if not isinstance(document, dict) or "k" not in document:
+        raise MalformedInputError("k: missing bound for bpcp")
+    bound = document["k"]
+    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
+        raise MalformedInputError("k: expected a positive integer")
+    solution = check_bpcp(pcp_from_json(document), bound)
+    return None if solution is None else {"indices": list(solution.indices), "bound": solution.bound}
+
+
+def _solve_tiling(variant: str) -> Callable[[object], Optional[dict]]:
+    def solver(document: object) -> Optional[dict]:
+        from .tiling import solve_bounded_tiling, solve_corridor_tiling, tiling_instance_from_json
+        instance = tiling_instance_from_json(document)
+        if instance.variant != variant:
+            raise MalformedInputError(f"variant: expected {variant}")
+        if variant == "bounded":
+            tiling = solve_bounded_tiling(instance)
+        else:
+            _, tiling = solve_corridor_tiling(instance) or (None, None)
+        if tiling is None:
+            return None
+        return {"width": tiling.width, "height": tiling.height, "grid": [list(row) for row in tiling.grid]}
+    return solver
+
+
 PROBLEMS: dict[str, Problem] = {p.name: p for p in (
     Problem("shuffled-string-eq", frozenset({PAD}), _shuffled),
     Problem("sequential-string-eq", frozenset({PAD, SEPARATOR}), _sequential, _decide_sequential),
     Problem("unary-shuffled-string-eq", frozenset({PAD}), _unary, _decide_unary),
     Problem("shuffled-regex-eq", METACHARS, _regex),
-    Problem("bpcp", None, _bpcp),
-    Problem("bounded-tiling", None, _bounded_tiling),
-    Problem("corridor-tiling", None, _corridor_tiling),
+    Problem("bpcp", None, _bpcp, solver=_solve_bpcp),
+    Problem("bounded-tiling", None, _bounded_tiling, solver=_solve_tiling("bounded")),
+    Problem("corridor-tiling", None, _corridor_tiling, solver=_solve_tiling("corridor")),
     Problem("machine-nl", None, _machine("NL")),
     Problem("machine-np", None, _machine("NP")),
     Problem("machine-pspace", None, _machine("PSPACE")),

@@ -18,17 +18,11 @@ tiles are ';'-separated, 'w,n,e,s' each; coloring entries are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from ..errors import MalformedInputError, MalformedWordError, ResourceLimitError
 
 _DELIMITERS = set(",;$#")
-
-# Distinct tile-set fields whose parse is kept.  Every word of a tiling
-# language repeats one field, so a handful suffices; the bound keeps the
-# memory fixed whatever words arrive.
-_TILE_FIELDS_KEPT = 64
 
 
 class TileType(NamedTuple):
@@ -271,10 +265,7 @@ def serialize_tile_set(tile_set: TileSet) -> str:
     return ";".join(",".join(tile) for tile in tile_set.tiles)
 
 
-@lru_cache(maxsize=_TILE_FIELDS_KEPT)
 def _parse_tiles(field: str) -> tuple[TileType, ...]:
-    """The tiles of a tile-set field, parsed once per distinct field;
-    a malformed field raises on every call, since a raise is not kept."""
     tiles = []
     for chunk in field.split(";"):
         parts = chunk.split(",")
@@ -322,35 +313,31 @@ def instance_to_word(instance: TilingInstance) -> str:
     return "$".join(fields)
 
 
-def _widths_agree(word: str, sides: int) -> bool:
-    """Does `word` have `sides` colorings after its tile set, all of one
-    width?  Every word that parses as a bounded (4 sides) or corridor
-    (2 sides) instance does, so a word that fails is a non-member
-    without the parse, its coloring split or its error message."""
+def _instance_of(word: str, sides: int) -> Optional[TilingInstance]:
+    """The instance a word with `sides` colorings encodes, or None when
+    it encodes none.  A word whose colorings are not `sides` fields of
+    one width is refused before the parse, its coloring split or its
+    error message: every bounded (4 sides) or corridor (2 sides)
+    instance word passes that check."""
     fields = word.split("$")
-    return len(fields) == sides + 1 and len({f.count("#") for f in fields[1:]}) == 1
+    if len(fields) != sides + 1 or len({f.count("#") for f in fields[1:]}) != 1:
+        return None
+    try:
+        return parse_tiling_word(word)
+    except MalformedWordError:
+        return None
 
 
 def member_bounded_tiling(word: str) -> bool:
     """Does the word encode a solvable bounded instance?"""
-    if not _widths_agree(word, 4):
-        return False
-    try:
-        instance = parse_tiling_word(word)
-    except MalformedWordError:
-        return False
-    return solve_bounded_tiling(instance) is not None
+    instance = _instance_of(word, 4)
+    return instance is not None and solve_bounded_tiling(instance) is not None
 
 
 def member_corridor_tiling(word: str, max_nodes: int = 200_000) -> bool:
     """Does the word encode a corridor instance tileable at some height?"""
-    if not _widths_agree(word, 2):
-        return False
-    try:
-        instance = parse_tiling_word(word)
-    except MalformedWordError:
-        return False
-    return solve_corridor_tiling(instance, max_nodes=max_nodes) is not None
+    instance = _instance_of(word, 2)
+    return instance is not None and solve_corridor_tiling(instance, max_nodes=max_nodes) is not None
 
 
 # --------------------------------------------------------------------------

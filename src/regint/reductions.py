@@ -260,9 +260,8 @@ def reduce_ntm_to_tiling_lang(tm: TmSpec, variant: str) -> GeneratedLanguage:
     if variant not in ("bounded", "corridor"):
         raise MalformedInputError(f"variant: expected 'bounded' or 'corridor', got {variant!r}")
     tiles = reduce_ntm_to_tiles(tm)
-    n = normalize_tm(tm)
     ser = serialize_tile_set(tiles)
-    blank = n.blank
+    blank = tm.blank  # normalizing keeps the blank, the start state and the input alphabet
     accept_color = tiles.accept
 
     side = _concat([_lit_word(WHITE), Star(_lit_word("#" + WHITE))])
@@ -273,16 +272,16 @@ def reduce_ntm_to_tiling_lang(tm: TmSpec, variant: str) -> GeneratedLanguage:
     blanks_tail = Star(_lit_word("#" + blank))
     branches: list[RegexNode] = []
     branch_texts: list[str] = []
-    for sym in n.input_alphabet:
+    for sym in tm.input_alphabet:
         branches.append(_concat([
-            _lit_word(_head_color(n.start, sym)),
-            Star(_alt([_lit_word("#" + t) for t in n.input_alphabet])),
+            _lit_word(_head_color(tm.start, sym)),
+            Star(_alt([_lit_word("#" + t) for t in tm.input_alphabet])),
             blanks_tail,
         ]))
-        inner = "|".join("#" + t for t in n.input_alphabet)
-        branch_texts.append(f"{_head_color(n.start, sym)}({inner})*(#{blank})*")
-    branches.append(_concat([_lit_word(_head_color(n.start, blank)), Star(_lit_word("#" + blank))]))
-    branch_texts.append(f"{_head_color(n.start, blank)}(#{blank})*")
+        inner = "|".join("#" + t for t in tm.input_alphabet)
+        branch_texts.append(f"{_head_color(tm.start, sym)}({inner})*(#{blank})*")
+    branches.append(_concat([_lit_word(_head_color(tm.start, blank)), Star(_lit_word("#" + blank))]))
+    branch_texts.append(f"{_head_color(tm.start, blank)}(#{blank})*")
     bottom = _alt(branches)
     bottom_text = "(" + "|".join(branch_texts) + ")"
 
@@ -296,7 +295,7 @@ def reduce_ntm_to_tiling_lang(tm: TmSpec, variant: str) -> GeneratedLanguage:
         text = f"{ser}${top_text}${bottom_text}"
 
     alphabet = set(ser) | {"$", "#"} | set(accept_color) | set(blank) | set(WHITE)
-    for sym in n.input_alphabet:
-        alphabet |= set(_head_color(n.start, sym)) | set(sym)
-    alphabet |= set(_head_color(n.start, blank))
+    for sym in tm.input_alphabet:
+        alphabet |= set(_head_color(tm.start, sym)) | set(sym)
+    alphabet |= set(_head_color(tm.start, blank))
     return _language(root, alphabet, text, f"ntm-to-tiling-lang/{variant}")

@@ -19,9 +19,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 
 import regint
-from regint.automata import Dfa, Nfa, automaton_to_json, parse_regex, regex_to_nfa
+from regint.automata import Dfa, Nfa, automaton_from_json, automaton_to_json, parse_regex, regex_to_nfa
 from regint.cli import REDUCTIONS, main
-from regint.problems import PROBLEMS, pcp_to_json, tiling_instance_to_json, tm_to_json
+from regint.errors import MalformedInputError
+from regint.problems import (
+    PROBLEMS, pcp_from_json, pcp_to_json, tile_set_from_json, tiling_instance_from_json, tiling_instance_to_json,
+    tm_from_json, tm_to_json,
+)
 from regint.problems.tiling import TilingInstance
 from regint.reductions import reduce_ntm_to_tiles
 
@@ -401,6 +405,16 @@ def test_search_rejects_a_non_finite_timeout(capsys, files):
 # usage errors
 
 
+def test_an_automaton_too_large_to_hold_is_a_resource_limit(capsys, tmp_path):
+    # the state tables of 10**13 states cannot be allocated, so the
+    # allocation fails at once without using memory
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"kind": "nfa", "alphabet": ["a"], "states": 10**13, "start": 0,
+                                "finals": [0], "transitions": []}))
+    code, doc = run(capsys, "search", "--problem", "shuffled-string-eq", "--automaton", str(path), "--max-len", "3")
+    assert code == 2 and doc == {"error": "resource limit: out of memory"}
+
+
 def test_usage_errors_emit_json(capsys):
     for argv in (
         [],
@@ -606,6 +620,130 @@ def test_every_invocation_keeps_the_output_contract(tmp_path, invocation):
 
 
 # ---------------------------------------------------------------------------
+# malformed input: each field's exact message, from each loader and from solve
+
+DELETE = object()
+DFA, (BOUNDED, CORRIDOR) = DFAS[0], TILINGS
+LOADERS = {"automaton": automaton_from_json, "tm": tm_from_json, "tile-set": tile_set_from_json,
+           "tiling": tiling_instance_from_json, "pcp": pcp_from_json}
+
+
+def edited(doc, path, value):
+    """A copy of `doc` with the field at the dotted `path` set to
+    `value`, or deleted when `value` is DELETE; the path "" replaces the
+    whole document."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    *parents, last = [int(key) if key.isdigit() else key for key in path.split(".")]
+    container = doc
+    for key in parents:
+        container = container[key]
+    if value is DELETE:
+        del container[last]
+    else:
+        container[last] = value
+    return doc
+
+
+MALFORMED = [
+    ("automaton", DFA, "", [], "document: expected a JSON object"),
+    ("automaton", DFA, "kind", "pda", "kind: expected 'nfa' or 'dfa', got 'pda'"),
+    ("automaton", DFA, "kind", DELETE, "kind: expected 'nfa' or 'dfa', got None"),
+    ("automaton", DFA, "alphabet", ["ab"], "alphabet: expected a list of single-character strings"),
+    ("automaton", DFA, "alphabet", ["a", "a"], "alphabet: duplicate symbols"),
+    ("automaton", DFA, "states", True, "states: expected a positive integer"),
+    ("automaton", DFA, "states", 0, "states: expected a positive integer"),
+    ("automaton", DFA, "start", "0", "start: expected an integer"),
+    ("automaton", DFA, "finals", [True], "finals: expected a list of integers"),
+    ("automaton", DFA, "transitions", {}, "transitions: expected a list"),
+    ("automaton", DFA, "transitions.0", 5, "transitions[0]: expected an object"),
+    ("automaton", DFA, "transitions.0.on", DELETE, "transitions[0].on: missing"),
+    ("automaton", DFA, "transitions.0.to", True, "transitions[0]: 'from' and 'to' must be integers"),
+    ("automaton", DFA, "transitions.0.on", "ab", "transitions[0].on: expected a single character or null"),
+    ("automaton", DFA, "transitions.0.on", None, "transitions[0].on: silent moves are not allowed in a dfa"),
+    ("automaton", DFA, "transitions.1.on", "_", "transitions[1]: duplicate move for state 0 on '_'"),
+    ("automaton", DFA, "start", 9, "start: state 9 out of range"),
+    ("automaton", DFA, "finals", [9], "finals: state 9 out of range"),
+    ("automaton", DFA, "transitions.0.to", 9, "transitions: state out of range in (0, '_', 9)"),
+    ("automaton", DFA, "transitions.0.on", "z", "transitions: label 'z' not in alphabet"),
+    ("automaton", DFA, "transitions.7", DELETE, "transitions: missing move for state 3 on 'a'"),
+    ("automaton", NFA, "transitions.1.to", 10, "transitions: state out of range in (1, None, 10)"),
+    ("automaton", NFA, "transitions.0.on", "b", "transitions: label 'b' not in alphabet"),
+    ("tm", TM, "", None, "document: expected a JSON object"),
+    ("tm", TM, "states", "2", "states: expected an integer"),
+    ("tm", TM, "input", "01", "input: expected a list of single-character strings"),
+    ("tm", TM, "tape", ["__"], "tape: expected a list of single-character strings"),
+    ("tm", TM, "blank", "", "blank: expected a single character"),
+    ("tm", TM, "start", None, "start: expected an integer"),
+    ("tm", TM, "accept", True, "accept: expected an integer"),
+    ("tm", TM, "delta", {}, "delta: expected a list"),
+    ("tm", TM, "delta.0", [], "delta[0]: expected an object"),
+    ("tm", TM, "delta.0.move", DELETE, "delta[0].move: missing"),
+    ("tm", TM, "delta.0.from", "x", "delta[0].from: expected an integer"),
+    ("tm", TM, "delta.0.write", 1, "delta[0].write: expected a string"),
+    ("tm", TM, "states", 0, "states: need at least one state"),
+    ("tm", TM, "tape", ["_", "0", "1", "1"], "tape: duplicate symbols"),
+    ("tm", TM, "blank", "2", "blank: not a tape symbol"),
+    ("tm", TM, "blank", "0", "blank: may not be an input symbol"),
+    ("tm", TM, "input", ["0", "2"], "input: not a subset of the tape alphabet"),
+    ("tm", TM, "accept", 5, "start/accept: state 5 out of range"),
+    ("tm", TM, "delta.0.to", 7, "delta: state out of range"),
+    ("tm", TM, "delta.0.read", "2", "delta: symbol not in tape alphabet"),
+    ("tm", TM, "delta.0.move", "U", "delta: move must be one of L/R/S, got 'U'"),
+    ("tm", TM, "delta.0.from", 1, "delta: accept state may not have outgoing transitions"),
+    ("tile-set", BOUNDED, "", "x", "document: expected a JSON object"),
+    ("tile-set", BOUNDED, "colors", "wx", "colors: expected a list of strings"),
+    ("tile-set", BOUNDED, "tiles", DELETE, "tiles: expected a list"),
+    ("tile-set", BOUNDED, "tiles.0.s", 1, "tiles[0]: expected an object with string w/n/e/s"),
+    ("tile-set", BOUNDED, "white", 1, "white: expected a string or null"),
+    ("tile-set", BOUNDED, "accept", [], "accept: expected a string or null"),
+    ("tile-set", BOUNDED, "tiles.0.n", "y", "tiles[0]: color 'y' not declared"),
+    ("tile-set", BOUNDED, "blank", "y", "blank: color 'y' not declared"),
+    ("tiling", BOUNDED, "colors", DELETE, "colors: expected a list of strings"),
+    ("tiling", BOUNDED, "variant", "square", "variant: expected 'bounded' or 'corridor'"),
+    ("tiling", BOUNDED, "width", True, "width: expected an integer"),
+    ("tiling", BOUNDED, "width", 2.0, "width: expected an integer"),
+    ("tiling", BOUNDED, "l", "ww", "l: expected a list of strings or null"),
+    ("tiling", BOUNDED, "width", 0, "width: must be at least 1"),
+    ("tiling", BOUNDED, "t", ["w"], "t: expected a coloring of length 2"),
+    ("tiling", BOUNDED, "r", DELETE, "r: expected a coloring of length 2"),
+    ("tiling", BOUNDED, "b", ["w", "y"], "b: color 'y' not declared"),
+    ("tiling", CORRIDOR, "l", ["w", "w"], "l/r: corridor instances have no side colorings"),
+    ("pcp", PCP, "", None, "document: expected a JSON object"),
+    ("pcp", PCP, "alphabet", ["01"], "alphabet: expected a list of single-character strings"),
+    ("pcp", PCP, "a", "1", "a: expected a list of strings"),
+    ("pcp", PCP, "b", [1], "b: expected a list of strings"),
+    ("pcp", PCP, "b", ["111"], "a/b: lists must have equal nonzero length"),
+    ("pcp", PCP, "a.0", "", "a[0]: strings must be nonempty"),
+    ("pcp", PCP, "b.1", "12", "b[1]: symbol '2' not in alphabet"),
+    ("solve bpcp", {**PCP, "k": 3}, "k", DELETE, "k: missing bound for bpcp"),
+    ("solve bpcp", {**PCP, "k": 3}, "", [], "k: missing bound for bpcp"),
+    ("solve bpcp", {**PCP, "k": 3}, "k", True, "k: expected a positive integer"),
+    ("solve bpcp", {**PCP, "k": 3}, "k", 0, "k: expected a positive integer"),
+    ("solve bpcp", {**PCP, "k": 3}, "k", "3", "k: expected a positive integer"),
+    ("solve bpcp", {**PCP, "k": 3}, "a", "1", "a: expected a list of strings"),
+    ("solve bounded-tiling", CORRIDOR, "width", 2, "variant: expected bounded"),
+    ("solve corridor-tiling", BOUNDED, "width", 2, "variant: expected corridor"),
+    ("solve corridor-tiling", CORRIDOR, "t", None, "t: expected a coloring of length 2"),
+]
+
+
+@pytest.mark.parametrize("reader, seed, path, value, message", MALFORMED,
+                         ids=[f"{row[0]}:{row[2] or 'document'}:{row[4]}" for row in MALFORMED])
+def test_each_malformed_field_gives_its_exact_message(capsys, tmp_path, reader, seed, path, value, message):
+    doc = edited(seed, path, value)
+    if reader in LOADERS:
+        with pytest.raises(MalformedInputError) as info:
+            LOADERS[reader](doc)
+        assert str(info.value) == message
+    else:
+        infile = tmp_path / "in.json"
+        infile.write_text(json.dumps(doc))
+        assert run(capsys, *reader.split(), "--in", str(infile)) == (2, {"error": message})
+
+
+# ---------------------------------------------------------------------------
 # imports: a call loads only the modules its subcommand runs
 
 # every call loads the package, its problem table and the two leaf modules that reads
@@ -638,6 +776,7 @@ RUN_AND_LIST_MODULES = (
     (("reduce", "pcp-to-bpcp", "--in", "{classic}"), REDUCE_MODULES),
     (("solve", "bpcp", "--in", "{classic_k4}"), {"regint.problems.bpcp"}),
     (("solve", "bounded-tiling", "--in", "{m1_bounded}"), {"regint.problems.tiling"}),
+    (("solve", "corridor-tiling", "--in", "{m1_corridor}"), {"regint.problems.tiling"}),
 ])
 def test_each_call_imports_only_what_it_runs(files, argv, loaded):
     argv = [a.format(**files) for a in argv]
