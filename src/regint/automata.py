@@ -148,17 +148,19 @@ def parse_regex(text: str, alphabet: Iterable[str]) -> RegexAst:
 Transition = tuple[int, Optional[str], int]
 
 
-class _Checked:
-    """The field checks and the compiled form that Nfa and Dfa share."""
+def _check_states(states: int, start: int, finals: Iterable[int]) -> None:
+    """The state-count, start and finals checks of every automaton kind."""
+    if states < 1:
+        raise MalformedInputError("states: need at least one state")
+    if not 0 <= start < states:
+        raise MalformedInputError(f"start: state {start} out of range")
+    for f in finals:
+        if not 0 <= f < states:
+            raise MalformedInputError(f"finals: state {f} out of range")
 
-    def _check_states(self) -> None:
-        if self.states < 1:
-            raise MalformedInputError("states: need at least one state")
-        if not 0 <= self.start < self.states:
-            raise MalformedInputError(f"start: state {self.start} out of range")
-        for f in self.finals:
-            if not 0 <= f < self.states:
-                raise MalformedInputError(f"finals: state {f} out of range")
+
+class _Compiled:
+    """The compiled form that Nfa and Dfa share."""
 
     @cached_property
     def tables(self) -> Tables:
@@ -167,7 +169,7 @@ class _Checked:
 
 
 @dataclass(frozen=True)
-class Nfa(_Checked):
+class Nfa(_Compiled):
     """Nondeterministic finite automaton; label None means a silent move."""
 
     states: int
@@ -177,7 +179,7 @@ class Nfa(_Checked):
     finals: frozenset[int]
 
     def __post_init__(self):
-        self._check_states()
+        _check_states(self.states, self.start, self.finals)
         for src, label, dst in self.transitions:
             if not (0 <= src < self.states and 0 <= dst < self.states):
                 raise MalformedInputError(f"transitions: state out of range in ({src}, {label!r}, {dst})")
@@ -186,7 +188,7 @@ class Nfa(_Checked):
 
 
 @dataclass(frozen=True, eq=True)
-class Dfa(_Checked):
+class Dfa(_Compiled):
     """Deterministic finite automaton, total over its alphabet."""
 
     states: int
@@ -196,16 +198,19 @@ class Dfa(_Checked):
     finals: frozenset[int]
 
     def __post_init__(self):
-        self._check_states()
+        _check_states(self.states, self.start, self.finals)
         for (src, sym), dst in self.delta.items():
             if not (0 <= src < self.states and 0 <= dst < self.states):
                 raise MalformedInputError(f"transitions: state out of range in ({src}, {sym!r}, {dst})")
             if sym not in self.alphabet:
                 raise MalformedInputError(f"transitions: label {sym!r} not in alphabet")
-        for q in range(self.states):
-            for sym in self.alphabet:
-                if (q, sym) not in self.delta:
-                    raise MalformedInputError(f"transitions: missing move for state {q} on {sym!r}")
+        # every key is a distinct in-range (state, letter) pair, so the
+        # count alone decides totality; the walk only names a missing move
+        if len(self.delta) != self.states * len(self.alphabet):
+            for q in range(self.states):
+                for sym in self.alphabet:
+                    if (q, sym) not in self.delta:
+                        raise MalformedInputError(f"transitions: missing move for state {q} on {sym!r}")
 
 
 Automaton = Union[Nfa, Dfa]
@@ -296,38 +301,31 @@ def regex_to_nfa(ast: RegexAst) -> Nfa:
     transitions: list[Transition] = []
     counter = 0
     # post-order walk on an explicit stack: a node is pushed bare, then
-    # again, under its children, with its (entry, exit) pair, or for a
-    # chain of left-nested Concats with its operand count.  Alt and Star
-    # number their pair before their children, leaves on the visit, so
-    # numbering follows a left-to-right pre-order.
+    # again, under its children, with its (entry, exit) pair, or with ()
+    # for a Concat, whose pair is its left entry and right exit.  Alt and
+    # Star number their pair before their children, leaves on the visit,
+    # so numbering follows a left-to-right pre-order.
     built: list[tuple[int, int]] = []  # (entry, exit) of finished subtrees
     stack: list[tuple[RegexNode, object]] = [(ast.root, None)]
     while stack:
         node, ends = stack.pop()
         if ends is not None:  # the children are built: link them
-            if isinstance(node, Concat):
-                parts = built[-ends:]
-                del built[-ends:]
-                transitions += [(a_out, None, b_in) for (_, a_out), (b_in, _) in zip(parts, parts[1:])]
-                built.append((parts[0][0], parts[-1][1]))
-                continue
-            s, t = ends
-            if isinstance(node, Alt):
-                (l_in, l_out), (r_in, r_out) = built[-2:]
-                del built[-2:]
-                transitions += [(s, None, l_in), (l_out, None, t), (s, None, r_in), (r_out, None, t)]
-            else:
+            if isinstance(node, Star):
+                s, t = ends
                 c_in, c_out = built.pop()
                 transitions += [(s, None, c_in), (c_out, None, t), (s, None, t), (c_out, None, c_in)]
+            else:
+                r_in, r_out = built.pop()
+                l_in, l_out = built.pop()
+                if isinstance(node, Concat):
+                    transitions.append((l_out, None, r_in))
+                    ends = (l_in, r_out)
+                else:
+                    s, t = ends
+                    transitions += [(s, None, l_in), (l_out, None, t), (s, None, r_in), (r_out, None, t)]
             built.append(ends)
         elif isinstance(node, Concat):
-            parts = [node.right]
-            while isinstance(node.left, Concat):
-                node = node.left
-                parts.append(node.right)
-            parts.append(node.left)
-            stack.append((node, len(parts)))
-            stack += [(part, None) for part in parts]
+            stack += [(node, ()), (node.right, None), (node.left, None)]
         elif isinstance(node, Alt):
             stack += [(node, (counter, counter + 1)), (node.right, None), (node.left, None)]
             counter += 2

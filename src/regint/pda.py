@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import Dfa
+from .automata import Dfa, _check_states
 from .errors import AlphabetError, MalformedInputError
 
 # (state, label or None, popped top, next state, pushed string; push[0] is the new top)
@@ -31,15 +31,9 @@ class Pda:
     finals: frozenset[int]
 
     def __post_init__(self):
-        if self.states < 1:
-            raise MalformedInputError("states: need at least one state")
+        _check_states(self.states, self.start, self.finals)
         if self.bottom not in self.stack_alphabet:
             raise MalformedInputError("bottom: not a stack symbol")
-        if not 0 <= self.start < self.states:
-            raise MalformedInputError(f"start: state {self.start} out of range")
-        for f in self.finals:
-            if not 0 <= f < self.states:
-                raise MalformedInputError(f"finals: state {f} out of range")
         for src, label, top, dst, push in self.transitions:
             if not (0 <= src < self.states and 0 <= dst < self.states):
                 raise MalformedInputError("transitions: state out of range")

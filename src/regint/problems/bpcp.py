@@ -52,42 +52,34 @@ def check_bpcp(instance: PcpInstance, k: int) -> Optional[BpcpSolution]:
 
     Depth-first over the prefix-consistency tree: a partial index
     sequence survives only while one concatenation is a prefix of the
-    other.  Iterative deepening makes the order length-then-lex.
+    other, and is kept as the (top, bottom) rests after their common
+    prefix, one of them empty.  Iterative deepening makes the order
+    length-then-lex.
     """
-    if k <= 0:
-        return None
     pairs = list(zip(instance.list_a, instance.list_b))
-
-    def extend(ahead: int, rem: str, i: int) -> Optional[tuple[int, str]]:
-        # ahead=+1: A-concat = B-concat + rem; ahead=-1 the mirror; 0: equal.
-        a, b = pairs[i]
-        left = rem + a if ahead >= 0 else a
-        right = b if ahead >= 0 else rem + b
-        if left.startswith(right):
-            surplus = left[len(right):]
-            return (1 if surplus else 0), surplus
-        if right.startswith(left):
-            return -1, right[len(left):]
-        return None
-
     for depth in range(1, k + 1):
-        # (ahead, rem, untried indices) before each chosen position: an
-        # explicit stack, so a large k cannot exhaust the recursion limit
+        # (top rest, bottom rest, untried indices) before each chosen position:
+        # an explicit stack, so a large k cannot exhaust the recursion limit
         indices = [0] * depth
-        stack = [(0, "", iter(range(len(pairs))))]
+        stack = [("", "", iter(range(len(pairs))))]
         while stack:
-            ahead, rem, untried = stack[-1]
+            top, bottom, untried = stack[-1]
             i = next(untried, None)
             if i is None:
                 stack.pop()
                 continue
-            nxt = extend(ahead, rem, i)
-            if nxt is None:
+            a, b = pairs[i]
+            top, bottom = top + a, bottom + b
+            if top.startswith(bottom):
+                top, bottom = top[len(bottom):], ""
+            elif bottom.startswith(top):
+                top, bottom = "", bottom[len(top):]
+            else:
                 continue
             indices[len(stack) - 1] = i + 1
             if len(stack) < depth:
-                stack.append((*nxt, iter(range(len(pairs)))))
-            elif nxt[0] == 0:
+                stack.append((top, bottom, iter(range(len(pairs)))))
+            elif not top and not bottom:
                 return BpcpSolution(tuple(indices), k)
     return None
 

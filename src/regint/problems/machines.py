@@ -66,9 +66,6 @@ class TmSpec:
             if src == self.accept:
                 raise MalformedInputError("delta: accept state may not have outgoing transitions")
 
-    def moves_from(self) -> dict[tuple[int, str], list[TmTransition]]:
-        return {key: list(moves) for key, moves in self._moves.items()}
-
     # Built once per machine: decode_tm shares one TmSpec across every
     # word with the same encoding, so these are read-only by convention.
     @cached_property

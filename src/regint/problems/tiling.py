@@ -334,10 +334,10 @@ def member_bounded_tiling(word: str) -> bool:
     return instance is not None and solve_bounded_tiling(instance) is not None
 
 
-def member_corridor_tiling(word: str, max_nodes: int = 200_000) -> bool:
+def member_corridor_tiling(word: str) -> bool:
     """Does the word encode a corridor instance tileable at some height?"""
     instance = _instance_of(word, 2)
-    return instance is not None and solve_corridor_tiling(instance, max_nodes=max_nodes) is not None
+    return instance is not None and solve_corridor_tiling(instance) is not None
 
 
 # --------------------------------------------------------------------------

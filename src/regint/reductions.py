@@ -25,6 +25,7 @@ from .problems.bpcp import PcpInstance
 from .problems.machines import TmSpec, encode_tm
 from .problems.strings import interleave, pad_to_common
 from .problems.tiling import _DELIMITERS, TileSet, TileType, serialize_tile_set
+from .symbols import METACHARS, SEPARATOR
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,6 @@ class GeneratedLanguage:
 
     nfa: Nfa
     regex_text: str
-    encoding_alphabet: frozenset[str]
     provenance: str
 
     def to_json(self) -> dict:
@@ -76,7 +76,6 @@ def _language(root: RegexNode, alphabet: set[str], regex_text: str, provenance: 
     return GeneratedLanguage(
         nfa=regex_to_nfa(ast),
         regex_text=regex_text,
-        encoding_alphabet=frozenset(alphabet),
         provenance=provenance,
     )
 
@@ -113,7 +112,7 @@ def reduce_pcp_to_bpcp_lang(pcp: PcpInstance) -> GeneratedLanguage:
     overgenerates words with unequal list lengths — the membership
     checker rejects those.  The regex text parses back to the language.
     """
-    bad = pcp.alphabet & set("#$~_()|*")
+    bad = pcp.alphabet & (METACHARS | {"#", SEPARATOR})
     if bad:
         raise AlphabetError(f"instance alphabet may not contain {sorted(bad)}")
     base_a, last_a = "#".join(pcp.list_a), "#" + pcp.list_a[-1]
@@ -220,16 +219,15 @@ def reduce_ntm_to_tiles(tm: TmSpec) -> TileSet:
         tiles.append(TileType(WHITE, a, WHITE, a))
     rank = {"R": 0, "L": 1, "S": 2}
     for src, read, dst, write, move in sorted(n.transitions, key=lambda tr: (rank[tr[4]], tr)):
-        if move == "R":
-            tiles.append(TileType(WHITE, write, _state_color(dst), _head_color(src, read)))
-            for c in n.tape_alphabet:
-                tiles.append(TileType(_state_color(dst), _head_color(dst, c), WHITE, c))
-        elif move == "L":
-            tiles.append(TileType(_state_color(dst), write, WHITE, _head_color(src, read)))
-            for c in n.tape_alphabet:
-                tiles.append(TileType(WHITE, _head_color(dst, c), _state_color(dst), c))
-        else:
+        if move == "S":
             tiles.append(TileType(WHITE, _head_color(dst, write), WHITE, _head_color(src, read)))
+            continue
+        # the action tile hands the state to its east (R) or west (L)
+        # neighbour, whose reception tile takes it on the facing side
+        w, e = (WHITE, _state_color(dst)) if move == "R" else (_state_color(dst), WHITE)
+        tiles.append(TileType(w, write, e, _head_color(src, read)))
+        for c in n.tape_alphabet:
+            tiles.append(TileType(e, _head_color(dst, c), w, c))
     accept_color = _head_color(n.accept, n.blank)
     tiles.append(TileType(WHITE, accept_color, WHITE, accept_color))
     colors = (

@@ -156,12 +156,6 @@ def find_witness(
     def report(outcome: str, witness: Optional[str], tested: int, bound: Optional[int]) -> WitnessReport:
         return WitnessReport(outcome, witness, tested, time.perf_counter() - start_time, bound)
 
-    def run_checker(word: str) -> bool:
-        try:
-            return checker(word)
-        except Exception as exc:  # noqa: BLE001 - wrapped with the offending word
-            raise CheckerError(word, exc) from exc
-
     tested = 0
     for word in enumerate_words(automaton, budget.max_word_length):
         if tested >= budget.max_words_tested:
@@ -169,6 +163,10 @@ def find_witness(
         if time.perf_counter() - start_time > budget.wall_clock_limit:
             return report("budget-exceeded", None, tested, None)
         tested += 1
-        if run_checker(word):
+        try:
+            hit = checker(word)
+        except Exception as exc:  # noqa: BLE001 - wrapped with the offending word
+            raise CheckerError(word, exc) from exc
+        if hit:
             return report("witness", word, tested, None)
     return report("exhausted", None, tested, budget.max_word_length)

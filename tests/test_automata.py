@@ -4,6 +4,7 @@ wire format."""
 import hashlib
 import json
 import random
+from functools import reduce
 
 import pytest
 
@@ -133,6 +134,17 @@ def test_determinize_state_numbering_is_pinned():
     assert _digest(determinize(n) for n in nfas) == DETERMINIZE_DIGEST
 
 
+def test_thompson_state_numbering_is_pinned():
+    # Alt, Star and each leaf number their (entry, exit) pair in a
+    # left-to-right pre-order and Concat adds no state; the digest pins
+    # every state number, so a renumbering shows here, on the ASTs of the
+    # determinize pin and one long left-nested chain
+    rng = random.Random(20261018)
+    roots = [_random_ast(rng, 5) for _ in range(150)]
+    roots.append(reduce(Concat, (Lit("abc"[i % 3]) for i in range(3000))))
+    assert _digest(regex_to_nfa(RegexAst(root, frozenset("abc"))) for root in roots) == THOMPSON_DIGEST
+
+
 def test_intersect_dfa_state_numbering_is_pinned():
     rng = random.Random(20261018)
     pairs = [(random_dfa(rng, "ab", 8), random_dfa(rng, "ab", 8)) for _ in range(200)]
@@ -140,6 +152,7 @@ def test_intersect_dfa_state_numbering_is_pinned():
 
 
 DETERMINIZE_DIGEST = "309a0aab23abaf6907c57594b9bcfa02b49d4ce79ffeaa4becb116494b6b9e11"
+THOMPSON_DIGEST = "b10cd14d223e661db8f3f235c7f9bbe91bc823db463940c1251ea3ddbb1d4ad2"
 INTERSECT_DIGEST = "9f8628068d1c43fe7dd1a263d2d737e979027bfcc4480738a82c26da310aa11f"
 
 

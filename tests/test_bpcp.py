@@ -1,5 +1,8 @@
 """Bounded PCP: the search, the word encoding, and the JSON format."""
 
+import hashlib
+import random
+
 import pytest
 
 from regint.errors import MalformedInputError, MalformedWordError
@@ -75,6 +78,32 @@ def test_solutions_verify_and_none_agrees_with_brute_force():
         for k in range(1, 5):
             assert check_bpcp(pcp, k) is None
         assert brute_pcp(pcp, 4) is None
+
+
+def random_pcp(rng):
+    def word():
+        return "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
+
+    n = rng.randint(1, 4)
+    return PcpInstance(frozenset("01"), tuple(word() for _ in range(n)), tuple(word() for _ in range(n)))
+
+
+# sha256 of each result's indices and bound, or None, in instance order:
+# it pins which solution the search returns, not only whether one exists
+BPCP_DIGEST = "63b50e001eb237f5cd455e148c7905f37534cca5eb4b4512b8dcee5091fe1e6a"
+
+
+def test_check_bpcp_results_are_pinned():
+    rng = random.Random(20261019)
+    digest = hashlib.sha256()
+    solved = 0
+    for _ in range(3000):
+        pcp, k = random_pcp(rng), rng.randint(0, 6)
+        sol = check_bpcp(pcp, k)
+        solved += sol is not None
+        digest.update(repr(sol and (sol.indices, sol.bound)).encode())
+    assert solved == 426
+    assert digest.hexdigest() == BPCP_DIGEST
 
 
 def test_search_order_is_length_then_lex():

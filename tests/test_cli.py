@@ -415,6 +415,23 @@ def test_an_automaton_too_large_to_hold_is_a_resource_limit(capsys, tmp_path):
     assert code == 2 and doc == {"error": "resource limit: out of memory"}
 
 
+@pytest.mark.parametrize("problem, message", [
+    ("unary-shuffled-string-eq", "alphabet: need exactly one unary symbol"),
+    ("sequential-string-eq", "automaton alphabet [] must cover ['$', '_']"),
+], ids=["unary", "sequential"])
+def test_a_dfa_of_many_states_over_no_letters_loads_at_once(tmp_path, problem, message):
+    # totality is decided by counting moves, not by visiting 10**13
+    # states; a subprocess with a timeout, so a regression fails the test
+    # instead of hanging the suite
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"kind": "dfa", "alphabet": [], "states": 10**13, "start": 0,
+                                "finals": [0], "transitions": []}))
+    src = str(Path(regint.__file__).parents[1])  # the package under test
+    proc = subprocess.run([sys.executable, "-m", "regint.cli", "decide", "--problem", problem, "--dfa", str(path)],
+                          capture_output=True, text=True, timeout=10, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, json.loads(proc.stdout)) == (2, {"error": message})
+
+
 def test_usage_errors_emit_json(capsys):
     for argv in (
         [],

@@ -202,19 +202,6 @@ def _word(tm, x, n):
     return f"{encode_tm(tm)}${x}${'a' * n}"
 
 
-def test_moves_from_hands_out_a_copy_of_the_shared_move_table():
-    # decode_tm shares one TmSpec per encoding, so a caller that edits the
-    # table it was given must not change how later words are checked
-    word = _word(M2, "01", 8)
-    tm = parse_machine_word(word).tm
-    moves = tm.moves_from()
-    assert moves == {(0, "0"): [(0, "0", 0, "0", "R")], (0, "1"): [(0, "1", 1, "1", "S")]}
-    moves[0, "1"].clear()
-    moves.clear()
-    assert tm.moves_from()[0, "1"] == [(0, "1", 1, "1", "S")]
-    assert member_machine_language(word, "NP") is True
-
-
 @pytest.mark.parametrize("mode", ["NL", "NP", "PSPACE"])
 def test_accepting_start_state_accepts_any_input(mode):
     assert member_machine_language(_word(ACCEPT_NOW, "0", 2), mode) is True

@@ -42,6 +42,21 @@ def test_pda_rejects_labels_outside_the_input_alphabet():
             frozenset({(0, "b", "Z", 0, ("Z",))}), 0, frozenset())
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"states": 0}, "states: need at least one state"),
+    ({"start": 1}, "start: state 1 out of range"),
+    ({"finals": frozenset({0, 2})}, "finals: state 2 out of range"),
+    ({"bottom": "X"}, "bottom: not a stack symbol"),
+    ({"start": 1, "bottom": "X"}, "start: state 1 out of range"),  # the automaton checks come first
+])
+def test_pda_names_its_first_bad_field(fields, message):
+    good = {"states": 1, "input_alphabet": frozenset("a"), "stack_alphabet": frozenset("Z"), "bottom": "Z",
+            "transitions": frozenset(), "start": 0, "finals": frozenset()}
+    with pytest.raises(MalformedInputError) as exc:
+        Pda(**{**good, **fields})
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # emptiness
 

@@ -113,11 +113,11 @@ def test_shuffled_regex_classic_blocks_and_text():
     lang = reduce_pcp_to_shuffled_regex(CLASSIC, "_")
     assert pcp_blocks(CLASSIC) == ["11_1_1", "11001_1_1_", "100_"]
     assert lang.regex_text == "(11_1_1|11001_1_1_|100_)+"
-    assert lang.encoding_alphabet == frozenset("01_")
+    assert lang.nfa.alphabet == frozenset("01_")
     assert lang.provenance == "pcp-to-shuffled-regex"
     # the text uses '_' and '+' as plain characters, so it is display-only
     with pytest.raises((RegexSyntaxError, AlphabetError)):
-        parse_regex(lang.regex_text, lang.encoding_alphabet)
+        parse_regex(lang.regex_text, lang.nfa.alphabet)
 
 
 def test_shuffled_regex_language_is_block_concatenations():
@@ -217,7 +217,7 @@ def test_bpcp_lang_trivial_text_reparses():
     lang = reduce_pcp_to_bpcp_lang(TRIV)
     assert lang.regex_text == "a(#a)*$a(#a)*$(0|1)*"
     assert lang.provenance == "pcp-to-bpcp"
-    reparsed = regex_to_nfa(parse_regex(lang.regex_text, lang.encoding_alphabet))
+    reparsed = regex_to_nfa(parse_regex(lang.regex_text, lang.nfa.alphabet))
     assert equivalent(lang.nfa, reparsed)
 
 
@@ -296,7 +296,7 @@ def test_machine_lang_text_and_reparse():
     assert lang.regex_text == f"{enc}$(0|1)*$a*"
     assert lang.regex_text.count("$") == 2
     assert lang.provenance == "tm-to-machine-lang"
-    reparsed = regex_to_nfa(parse_regex(lang.regex_text, lang.encoding_alphabet))
+    reparsed = regex_to_nfa(parse_regex(lang.regex_text, lang.nfa.alphabet))
     assert equivalent(lang.nfa, reparsed)
 
 
