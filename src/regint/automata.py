@@ -148,6 +148,11 @@ def parse_regex(text: str, alphabet: Iterable[str]) -> RegexAst:
 Transition = tuple[int, Optional[str], int]
 
 
+def _transition_order(t: Transition) -> tuple:
+    """The order automaton_to_json lists NFA transitions in."""
+    return (t[0], (t[1] is not None, t[1] or ""), t[2])
+
+
 def _check_states(states: int, start: int, finals: Iterable[int]) -> None:
     """The state-count, start and finals checks of every automaton kind."""
     if states < 1:
@@ -180,11 +185,18 @@ class Nfa(_Compiled):
 
     def __post_init__(self):
         _check_states(self.states, self.start, self.finals)
-        for src, label, dst in self.transitions:
+        if next(self._faults(self.transitions), None):
+            # a frozenset's order follows the hash seed: name the first
+            # fault in serialized order instead
+            raise MalformedInputError(next(self._faults(sorted(self.transitions, key=_transition_order))))
+
+    def _faults(self, transitions: Iterable[Transition]) -> Iterator[str]:
+        """The first failing check of each faulty transition, in order."""
+        for src, label, dst in transitions:
             if not (0 <= src < self.states and 0 <= dst < self.states):
-                raise MalformedInputError(f"transitions: state out of range in ({src}, {label!r}, {dst})")
-            if label is not None and label not in self.alphabet:
-                raise MalformedInputError(f"transitions: label {label!r} not in alphabet")
+                yield f"transitions: state out of range in ({src}, {label!r}, {dst})"
+            elif label is not None and label not in self.alphabet:
+                yield f"transitions: label {label!r} not in alphabet"
 
 
 @dataclass(frozen=True, eq=True)
@@ -207,8 +219,9 @@ class Dfa(_Compiled):
         # every key is a distinct in-range (state, letter) pair, so the
         # count alone decides totality; the walk only names a missing move
         if len(self.delta) != self.states * len(self.alphabet):
+            letters = sorted(self.alphabet)
             for q in range(self.states):
-                for sym in self.alphabet:
+                for sym in letters:
                     if (q, sym) not in self.delta:
                         raise MalformedInputError(f"transitions: missing move for state {q} on {sym!r}")
 
@@ -460,10 +473,7 @@ def automaton_to_json(automaton: Automaton) -> dict:
         triples = sorted((src, sym, dst) for (src, sym), dst in automaton.delta.items())
     else:
         kind = "nfa"
-        triples = sorted(
-            automaton.transitions,
-            key=lambda t: (t[0], (t[1] is not None, t[1] or ""), t[2]),
-        )
+        triples = sorted(automaton.transitions, key=_transition_order)
     return {
         "kind": kind,
         "alphabet": sorted(automaton.alphabet),

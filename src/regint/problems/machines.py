@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Iterable, Iterator
 
 from ..errors import MalformedInputError, MalformedWordError, ResourceLimitError
 
@@ -56,15 +57,23 @@ class TmSpec:
         for q in (self.start, self.accept):
             if not 0 <= q < self.states:
                 raise MalformedInputError(f"start/accept: state {q} out of range")
-        for src, read, dst, write, move in self.transitions:
+        if next(self._faults(self.transitions), None):
+            # a frozenset's order follows the hash seed: name the first
+            # fault in serialized order instead
+            raise MalformedInputError(next(self._faults(sorted(self.transitions))))
+
+    def _faults(self, transitions: Iterable[TmTransition]) -> Iterator[str]:
+        """The first failing check of each faulty transition, in order."""
+        tape = set(self.tape_alphabet)
+        for src, read, dst, write, move in transitions:
             if not (0 <= src < self.states and 0 <= dst < self.states):
-                raise MalformedInputError("delta: state out of range")
-            if read not in tape or write not in tape:
-                raise MalformedInputError("delta: symbol not in tape alphabet")
-            if move not in _MOVE_CODE:
-                raise MalformedInputError(f"delta: move must be one of L/R/S, got {move!r}")
-            if src == self.accept:
-                raise MalformedInputError("delta: accept state may not have outgoing transitions")
+                yield "delta: state out of range"
+            elif read not in tape or write not in tape:
+                yield "delta: symbol not in tape alphabet"
+            elif move not in _MOVE_CODE:
+                yield f"delta: move must be one of L/R/S, got {move!r}"
+            elif src == self.accept:
+                yield "delta: accept state may not have outgoing transitions"
 
     # Built once per machine: decode_tm shares one TmSpec across every
     # word with the same encoding, so these are read-only by convention.

@@ -24,6 +24,10 @@ from ..errors import MalformedInputError, MalformedWordError, ResourceLimitError
 
 _DELIMITERS = set(",;$#")
 
+# the colorings each variant's instances and words carry, in word order;
+# a bounded instance carries all four
+SIDES = {"bounded": ("l", "t", "r", "b"), "corridor": ("t", "b")}
+
 
 class TileType(NamedTuple):
     w: str
@@ -69,12 +73,11 @@ class TilingInstance:
     b: tuple[str, ...]
 
     def __post_init__(self):
-        if self.variant not in ("bounded", "corridor"):
+        if self.variant not in SIDES:
             raise MalformedInputError(f"variant: expected 'bounded' or 'corridor', got {self.variant!r}")
         if self.width < 1:
             raise MalformedInputError("width: must be at least 1")
-        sides = ("l", "t", "r", "b") if self.variant == "bounded" else ("t", "b")
-        for name in sides:
+        for name in SIDES[self.variant]:
             coloring = getattr(self, name)
             if coloring is None or len(coloring) != self.width:
                 raise MalformedInputError(f"{name}: expected a coloring of length {self.width}")
@@ -285,42 +288,42 @@ def _parse_coloring(field: str) -> tuple[str, ...]:
 def parse_tiling_word(word: str) -> TilingInstance:
     """Decode a bounded (T$l$t$r$b) or corridor (T$t$b) instance word."""
     fields = word.split("$")
-    if len(fields) not in (3, 5):
+    variant = next((v for v, sides in SIDES.items() if len(sides) == len(fields) - 1), None)
+    if variant is None:
         raise MalformedWordError(f"expected 2 or 4 '$' separators, got {len(fields) - 1}")
     tiles = _parse_tiles(fields[0])
     colorings = [_parse_coloring(f) for f in fields[1:]]
     widths = {len(c) for c in colorings}
     if len(widths) != 1:
         raise MalformedWordError(f"coloring lengths differ: {sorted(widths)}")
-    l, t, r, b = colorings if len(colorings) == 4 else (None, colorings[0], None, colorings[1])
     colors = frozenset(c for tile in tiles for c in tile) | frozenset(e for c in colorings for e in c)
     tile_set = TileSet(tiles=tiles, colors=colors)
+    named = dict.fromkeys(SIDES["bounded"]) | dict(zip(SIDES[variant], colorings))
     try:
-        return TilingInstance("corridor" if l is None else "bounded", tile_set, widths.pop(), l, t, r, b)
+        return TilingInstance(variant, tile_set, widths.pop(), **named)
     except MalformedInputError as exc:
         raise MalformedWordError(str(exc)) from exc
 
 
 def instance_to_word(instance: TilingInstance) -> str:
-    for name in ("l", "t", "r", "b"):
-        coloring = getattr(instance, name)
-        for entry in coloring or ():
+    sides = SIDES[instance.variant]
+    for name in sides:
+        for entry in getattr(instance, name):
             if not entry or set(entry) & _DELIMITERS:
                 raise MalformedInputError(f"{name}: color {entry!r} cannot be serialized")
     fields = [serialize_tile_set(instance.tile_set)]
-    sides = ("l", "t", "r", "b") if instance.variant == "bounded" else ("t", "b")
     fields.extend("#".join(getattr(instance, name)) for name in sides)
     return "$".join(fields)
 
 
-def _instance_of(word: str, sides: int) -> Optional[TilingInstance]:
-    """The instance a word with `sides` colorings encodes, or None when
-    it encodes none.  A word whose colorings are not `sides` fields of
-    one width is refused before the parse, its coloring split or its
-    error message: every bounded (4 sides) or corridor (2 sides)
-    instance word passes that check."""
+def _instance_of(word: str, variant: str) -> Optional[TilingInstance]:
+    """The `variant` instance a word encodes, or None when it encodes
+    none.  A word without one coloring field per side in
+    SIDES[variant], all of one width, is refused before the parse, its
+    coloring split or its error message: every instance word of the
+    variant passes that check."""
     fields = word.split("$")
-    if len(fields) != sides + 1 or len({f.count("#") for f in fields[1:]}) != 1:
+    if len(fields) != len(SIDES[variant]) + 1 or len({f.count("#") for f in fields[1:]}) != 1:
         return None
     try:
         return parse_tiling_word(word)
@@ -330,13 +333,13 @@ def _instance_of(word: str, sides: int) -> Optional[TilingInstance]:
 
 def member_bounded_tiling(word: str) -> bool:
     """Does the word encode a solvable bounded instance?"""
-    instance = _instance_of(word, 4)
+    instance = _instance_of(word, "bounded")
     return instance is not None and solve_bounded_tiling(instance) is not None
 
 
 def member_corridor_tiling(word: str) -> bool:
     """Does the word encode a corridor instance tileable at some height?"""
-    instance = _instance_of(word, 2)
+    instance = _instance_of(word, "corridor")
     return instance is not None and solve_corridor_tiling(instance) is not None
 
 
@@ -385,7 +388,7 @@ def tiling_instance_to_json(instance: TilingInstance) -> dict:
     out = tile_set_to_json(instance.tile_set)
     out["variant"] = instance.variant
     out["width"] = instance.width
-    for name in ("l", "t", "r", "b"):
+    for name in SIDES["bounded"]:
         coloring = getattr(instance, name)
         out[name] = None if coloring is None else list(coloring)
     return out
@@ -394,17 +397,17 @@ def tiling_instance_to_json(instance: TilingInstance) -> dict:
 def tiling_instance_from_json(obj: object) -> TilingInstance:
     tile_set = tile_set_from_json(obj)
     variant = obj.get("variant")
-    if variant not in ("bounded", "corridor"):
+    if not isinstance(variant, str) or variant not in SIDES:
         raise MalformedInputError("variant: expected 'bounded' or 'corridor'")
     width = obj.get("width")
     if not isinstance(width, int) or isinstance(width, bool):
         raise MalformedInputError("width: expected an integer")
     colorings = {}
-    for name in ("l", "t", "r", "b"):
+    for name in SIDES["bounded"]:
         value = obj.get(name)
         if value is not None and (
             not isinstance(value, list) or not all(isinstance(c, str) for c in value)
         ):
             raise MalformedInputError(f"{name}: expected a list of strings or null")
         colorings[name] = None if value is None else tuple(value)
-    return TilingInstance(variant, tile_set, width, colorings["l"], colorings["t"], colorings["r"], colorings["b"])
+    return TilingInstance(variant, tile_set, width, **colorings)

@@ -1,11 +1,8 @@
 """Generators turning problem instances into regular languages.
 
 Each generator returns a GeneratedLanguage: an NFA (authoritative) plus
-a printable regex.  Where the regex text stays inside the package's
-regex grammar it parses back to the same language; texts that need '_'
-or multi-character color names as ordinary letters use the conventional
-reading instead (every character a literal, '+' for one-or-more) and
-are display-only, which their docstrings call out.
+a printable regex, both made by one regex builder (_Rx below) that
+gives each AST node with its text and its letters.
 
 Machine-to-tiling constructions first normalize the machine so that
 acceptance is witnessed by one distinguished configuration: an
@@ -18,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
-from .automata import Alt, Concat, EmptyWord, Lit, Nfa, RegexAst, RegexNode, Star, regex_to_nfa
+from .automata import Alt, Concat, EmptyWord, Lit, Nfa, RegexAst, RegexNode, Star, automaton_to_json, regex_to_nfa
 from .errors import AlphabetError, MalformedInputError
 from .problems.bpcp import PcpInstance
 from .problems.machines import TmSpec, encode_tm
 from .problems.strings import interleave, pad_to_common
-from .problems.tiling import _DELIMITERS, TileSet, TileType, serialize_tile_set
+from .problems.tiling import _DELIMITERS, SIDES, TileSet, TileType, serialize_tile_set
 from .symbols import METACHARS, SEPARATOR
 
 
@@ -38,8 +36,6 @@ class GeneratedLanguage:
     provenance: str
 
     def to_json(self) -> dict:
-        from .automata import automaton_to_json
-
         out = automaton_to_json(self.nfa)
         out["regex"] = self.regex_text
         out["provenance"] = self.provenance
@@ -47,35 +43,51 @@ class GeneratedLanguage:
 
 
 # --------------------------------------------------------------------------
-# Small ast builders (programmatic regexes may use any character,
-# including ones the textual grammar reserves)
+# One regex builder: each combinator gives the AST node, its printed
+# text and its letters together.  Programmatic regexes may use any
+# character, including ones the textual grammar reserves.  Where the
+# text stays inside the package's regex grammar it parses back to the
+# same language; texts that need '_' or multi-character color names as
+# ordinary letters use the conventional reading instead (every
+# character a literal, '+' for one-or-more) and are display-only, which
+# the generators' docstrings call out.
 
 
-def _lit_word(s: str) -> RegexNode:
-    if not s:
-        return EmptyWord()
-    return reduce(Concat, (Lit(c) for c in s))
+class _Rx(NamedTuple):
+    node: RegexNode
+    text: str
+    letters: frozenset[str]
+    atom: bool  # the text needs no parentheses under a star
 
 
-def _alt(parts: list[RegexNode]) -> RegexNode:
-    if not parts:
-        return EmptyWord()
-    return reduce(Alt, parts)
+def _word(s: str) -> _Rx:
+    """The literal word s; the empty word prints as '_'."""
+    node = reduce(Concat, (Lit(c) for c in s)) if s else EmptyWord()
+    return _Rx(node, s or "_", frozenset(s), len(s) <= 1)
 
 
-def _concat(parts: list[RegexNode]) -> RegexNode:
-    return reduce(Concat, parts)
+def _cat(*parts: _Rx) -> _Rx:
+    return _Rx(reduce(Concat, (p.node for p in parts)), "".join(p.text for p in parts),
+               frozenset().union(*(p.letters for p in parts)), False)
 
 
-def _plus(node: RegexNode) -> RegexNode:
-    return Concat(node, Star(node))
+def _alt(parts: list[_Rx]) -> _Rx:
+    """Alternation, always printed in parentheses."""
+    return _Rx(reduce(Alt, (p.node for p in parts)), "(" + "|".join(p.text for p in parts) + ")",
+               frozenset().union(*(p.letters for p in parts)), True)
 
 
-def _language(root: RegexNode, alphabet: set[str], regex_text: str, provenance: str) -> GeneratedLanguage:
-    ast = RegexAst(root, frozenset(alphabet))
+def _star(part: _Rx) -> _Rx:
+    return _Rx(Star(part.node), (part.text if part.atom else f"({part.text})") + "*", part.letters, False)
+
+
+def _language(rx: _Rx, provenance: str, declared: frozenset[str] = frozenset()) -> GeneratedLanguage:
+    """The language of rx over its letters plus `declared`: a PCP
+    instance may declare letters that no list uses, and its pad shows in
+    no block when every pair has equal length."""
     return GeneratedLanguage(
-        nfa=regex_to_nfa(ast),
-        regex_text=regex_text,
+        nfa=regex_to_nfa(RegexAst(rx.node, rx.letters | declared)),
+        regex_text=rx.text,
         provenance=provenance,
     )
 
@@ -94,14 +106,13 @@ def reduce_pcp_to_shuffled_regex(pcp: PcpInstance, pad_symbol: str) -> Generated
     """
     if len(pad_symbol) != 1 or pad_symbol in pcp.alphabet:
         raise AlphabetError("pad symbol must be a fresh single character")
-    blocks = [
-        interleave(*pad_to_common(a, b, pad_symbol))
+    blocks = _alt([
+        _word(interleave(*pad_to_common(a, b, pad_symbol)))
         for a, b in zip(pcp.list_a, pcp.list_b)
-    ]
-    root = _plus(_alt([_lit_word(b) for b in blocks]))
-    alphabet = set(pcp.alphabet) | {pad_symbol}
-    text = "(" + "|".join(blocks) + ")+"
-    return _language(root, alphabet, text, "pcp-to-shuffled-regex")
+    ])
+    # one or more blocks: the node spells it out, the text says '+'
+    rx = _Rx(Concat(blocks.node, Star(blocks.node)), blocks.text + "+", blocks.letters, False)
+    return _language(rx, "pcp-to-shuffled-regex", pcp.alphabet | {pad_symbol})
 
 
 def reduce_pcp_to_bpcp_lang(pcp: PcpInstance) -> GeneratedLanguage:
@@ -115,16 +126,12 @@ def reduce_pcp_to_bpcp_lang(pcp: PcpInstance) -> GeneratedLanguage:
     bad = pcp.alphabet & (METACHARS | {"#", SEPARATOR})
     if bad:
         raise AlphabetError(f"instance alphabet may not contain {sorted(bad)}")
-    base_a, last_a = "#".join(pcp.list_a), "#" + pcp.list_a[-1]
-    base_b, last_b = "#".join(pcp.list_b), "#" + pcp.list_b[-1]
-    root = _concat([
-        _lit_word(base_a), Star(_lit_word(last_a)), Lit("$"),
-        _lit_word(base_b), Star(_lit_word(last_b)), Lit("$"),
-        Star(Alt(Lit("0"), Lit("1"))),
-    ])
-    alphabet = set(pcp.alphabet) | set("#$01")
-    text = f"{base_a}({last_a})*${base_b}({last_b})*$(0|1)*"
-    return _language(root, alphabet, text, "pcp-to-bpcp")
+    rx = _cat(
+        _word("#".join(pcp.list_a)), _star(_word("#" + pcp.list_a[-1])), _word("$"),
+        _word("#".join(pcp.list_b)), _star(_word("#" + pcp.list_b[-1])), _word("$"),
+        _star(_alt([_word("0"), _word("1")])),
+    )
+    return _language(rx, "pcp-to-bpcp", pcp.alphabet)
 
 
 # --------------------------------------------------------------------------
@@ -141,14 +148,10 @@ def reduce_tm_to_machine_lang(tm: TmSpec) -> GeneratedLanguage:
     reserved = set(tm.input_alphabet) & {"$", "a"}
     if reserved:
         raise AlphabetError(f"input alphabet contains reserved symbols {sorted(reserved)}; rename first")
-    enc = encode_tm(tm)
-    sigma = list(tm.input_alphabet)
-    middle: RegexNode = Star(_alt([Lit(c) for c in sigma])) if sigma else EmptyWord()
-    root = _concat([_lit_word(enc), Lit("$"), middle, Lit("$"), Star(Lit("a"))])
-    alphabet = set("01$a") | set(sigma)
-    middle_text = "(" + "|".join(sigma) + ")*" if sigma else "_"
-    text = f"{enc}${middle_text}$a*"
-    return _language(root, alphabet, text, "tm-to-machine-lang")
+    sigma = tm.input_alphabet
+    middle = _star(_alt([_word(c) for c in sigma])) if sigma else _word("")
+    rx = _cat(_word(encode_tm(tm)), _word("$"), middle, _word("$"), _star(_word("a")))
+    return _language(rx, "tm-to-machine-lang")
 
 
 # --------------------------------------------------------------------------
@@ -255,45 +258,17 @@ def reduce_ntm_to_tiling_lang(tm: TmSpec, variant: str) -> GeneratedLanguage:
     remaining input, then blank padding.  Sides, when present, are
     white.  The regex text is display-only (multi-character colors).
     """
-    if variant not in ("bounded", "corridor"):
+    if variant not in SIDES:
         raise MalformedInputError(f"variant: expected 'bounded' or 'corridor', got {variant!r}")
     tiles = reduce_ntm_to_tiles(tm)
-    ser = serialize_tile_set(tiles)
     blank = tm.blank  # normalizing keeps the blank, the start state and the input alphabet
-    accept_color = tiles.accept
-
-    side = _concat([_lit_word(WHITE), Star(_lit_word("#" + WHITE))])
-    side_text = f"{WHITE}(#{WHITE})*"
-    top = _concat([_lit_word(accept_color), Star(_lit_word("#" + blank))])
-    top_text = f"{accept_color}(#{blank})*"
-
-    blanks_tail = Star(_lit_word("#" + blank))
-    branches: list[RegexNode] = []
-    branch_texts: list[str] = []
-    for sym in tm.input_alphabet:
-        branches.append(_concat([
-            _lit_word(_head_color(tm.start, sym)),
-            Star(_alt([_lit_word("#" + t) for t in tm.input_alphabet])),
-            blanks_tail,
-        ]))
-        inner = "|".join("#" + t for t in tm.input_alphabet)
-        branch_texts.append(f"{_head_color(tm.start, sym)}({inner})*(#{blank})*")
-    branches.append(_concat([_lit_word(_head_color(tm.start, blank)), Star(_lit_word("#" + blank))]))
-    branch_texts.append(f"{_head_color(tm.start, blank)}(#{blank})*")
-    bottom = _alt(branches)
-    bottom_text = "(" + "|".join(branch_texts) + ")"
-
-    if variant == "bounded":
-        root = _concat([
-            _lit_word(ser), Lit("$"), side, Lit("$"), top, Lit("$"), side, Lit("$"), bottom,
-        ])
-        text = f"{ser}${side_text}${top_text}${side_text}${bottom_text}"
-    else:
-        root = _concat([_lit_word(ser), Lit("$"), top, Lit("$"), bottom])
-        text = f"{ser}${top_text}${bottom_text}"
-
-    alphabet = set(ser) | {"$", "#"} | set(accept_color) | set(blank) | set(WHITE)
-    for sym in tm.input_alphabet:
-        alphabet |= set(_head_color(tm.start, sym)) | set(sym)
-    alphabet |= set(_head_color(tm.start, blank))
-    return _language(root, alphabet, text, f"ntm-to-tiling-lang/{variant}")
+    blanks = _star(_word("#" + blank))
+    side = _cat(_word(WHITE), _star(_word("#" + WHITE)))
+    rest = [_word("#" + t) for t in tm.input_alphabet]
+    branches = [_cat(_word(_head_color(tm.start, sym)), _star(_alt(rest)), blanks) for sym in tm.input_alphabet]
+    branches.append(_cat(_word(_head_color(tm.start, blank)), blanks))
+    colorings = {"l": side, "t": _cat(_word(tiles.accept), blanks), "r": side, "b": _alt(branches)}
+    parts = [_word(serialize_tile_set(tiles))]
+    for name in SIDES[variant]:
+        parts += [_word("$"), colorings[name]]
+    return _language(_cat(*parts), f"ntm-to-tiling-lang/{variant}")

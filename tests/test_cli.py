@@ -432,6 +432,42 @@ def test_a_dfa_of_many_states_over_no_letters_loads_at_once(tmp_path, problem, m
     assert (proc.returncode, json.loads(proc.stdout)) == (2, {"error": message})
 
 
+# documents with several faults each; the message names the first fault
+# in the order the JSON codecs write them, under every hash seed
+MANY_FAULTS = [
+    (["decide", "--problem", "sequential-string-eq", "--dfa"],
+     {"kind": "dfa", "alphabet": ["a", "b", "c"], "states": 1, "start": 0, "finals": [], "transitions": []},
+     "transitions: missing move for state 0 on 'a'"),
+    (["search", "--problem", "shuffled-string-eq", "--max-len", "3", "--automaton"],
+     {"kind": "nfa", "alphabet": ["a"], "states": 2, "start": 0, "finals": [0],
+      "transitions": [{"from": 0, "on": "z", "to": 0}, {"from": 0, "on": "y", "to": 1},
+                      {"from": 1, "on": "a", "to": 5}, {"from": 0, "on": "x", "to": 9}]},
+     "transitions: state out of range in (0, 'x', 9)"),
+    (["reduce", "tm-to-machine-lang", "--in"],
+     {"states": 2, "input": ["0"], "tape": ["_", "0"], "blank": "_", "start": 0, "accept": 1,
+      "delta": [{"from": 0, "read": "x", "to": 1, "write": "0", "move": "R"},
+                {"from": 1, "read": "_", "to": 0, "write": "_", "move": "S"},
+                {"from": 0, "read": "0", "to": 1, "write": "0", "move": "Q"}]},
+     "delta: move must be one of L/R/S, got 'Q'"),
+]
+
+
+@pytest.mark.parametrize("argv, document, message", MANY_FAULTS, ids=["dfa", "nfa", "tm"])
+def test_the_error_for_several_faults_does_not_depend_on_the_hash_seed(tmp_path, argv, document, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    src = str(Path(regint.__file__).parents[1])  # the package under test
+    outputs = set()
+    for seed in range(7):
+        proc = subprocess.run([sys.executable, "-m", "regint.cli", "--deterministic", *argv, str(path)],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)})
+        outputs.add((proc.returncode, proc.stdout))
+    assert len(outputs) == 1
+    code, out = outputs.pop()
+    assert (code, json.loads(out)) == (2, {"error": message})
+
+
 def test_usage_errors_emit_json(capsys):
     for argv in (
         [],

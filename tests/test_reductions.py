@@ -7,6 +7,7 @@ pipeline is checked against hand-traced runs and the tiling solvers.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -431,6 +432,60 @@ def test_tile_sets_are_pinned():
         digest.update(repr(out).encode())
     assert rejected == 52
     assert digest.hexdigest() == TILES_DIGEST
+
+
+# sha256 of every generator's to_json() below, in order: it pins each
+# NFA transition, the regex text, the provenance and the alphabet
+LANGUAGES_DIGEST = "33576ecded771d4e0c30e3f681425040cfed5056949c0e74e67fd27096a6bd15"
+
+
+def random_pcp(rng):
+    """Some instances declare letters no list uses; about a third pair
+    strings of equal length, so their blocks need no pad."""
+    alphabet = rng.sample("01bcx", rng.randint(1, 4))
+    used = alphabet[: rng.randint(1, len(alphabet))]
+    k = rng.randint(1, 4)
+    if rng.random() < 0.3:
+        lengths = [rng.randint(1, 4) for _ in range(k)]
+        lists = [tuple("".join(rng.choice(used) for _ in range(n)) for n in lengths) for _ in "ab"]
+    else:
+        lists = [tuple("".join(rng.choice(used) for _ in range(rng.randint(1, 4))) for _ in range(k))
+                 for _ in "ab"]
+    return PcpInstance(frozenset(alphabet), *lists)
+
+
+def canonical_machines(rng):
+    """A machine in the layout encode_tm takes, with 0-3 input letters,
+    and one on the same states whose tape may hold extra letters and
+    whose start state is drawn at random."""
+    inputs = tuple(str(i) for i in range(rng.randint(0, 3)))
+    tape = ("_",) + inputs + tuple(rng.sample("xyz", rng.randint(0, 2)))
+    states = rng.randint(1, 4)
+    accept = 1 if states > 1 else 0
+    sources = [q for q in range(states) if q != accept]
+    transitions = frozenset(
+        (rng.choice(sources), rng.choice(tape), rng.randrange(states), rng.choice(tape), rng.choice("LRS"))
+        for _ in range(rng.randint(0, 6) if sources else 0)
+    )
+    narrow = frozenset(t for t in transitions if t[1] in ("_",) + inputs and t[3] in ("_",) + inputs)
+    return (TmSpec(states, inputs, ("_",) + inputs, "_", 0, accept, narrow),
+            TmSpec(states, inputs, tape, "_", rng.randrange(states), accept, transitions))
+
+
+def test_generated_languages_are_pinned():
+    pcp_rng, tm_rng = random.Random(15), random.Random(16)
+    languages = []
+    for _ in range(500):
+        pcp = random_pcp(pcp_rng)
+        languages += [reduce_pcp_to_shuffled_regex(pcp, "_"), reduce_pcp_to_bpcp_lang(pcp)]
+    for _ in range(40):
+        canonical, wide = canonical_machines(tm_rng)
+        languages += [reduce_tm_to_machine_lang(canonical), reduce_ntm_to_tiling_lang(wide, "bounded"),
+                      reduce_ntm_to_tiling_lang(wide, "corridor")]
+    digest = hashlib.sha256()
+    for lang in languages:
+        digest.update(json.dumps(lang.to_json()).encode())
+    assert digest.hexdigest() == LANGUAGES_DIGEST
 
 
 # ---------------------------------------------------------------------------
