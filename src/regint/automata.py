@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .errors import AlphabetError, MalformedInputError, RegexSyntaxError
+from .errors import AlphabetError, MalformedInputError, RegexSyntaxError, raise_first_fault
 from .symbols import METACHARS
 
 
@@ -185,10 +185,7 @@ class Nfa(_Compiled):
 
     def __post_init__(self):
         _check_states(self.states, self.start, self.finals)
-        if next(self._faults(self.transitions), None):
-            # a frozenset's order follows the hash seed: name the first
-            # fault in serialized order instead
-            raise MalformedInputError(next(self._faults(sorted(self.transitions, key=_transition_order))))
+        raise_first_fault(self._faults, self.transitions, _transition_order)
 
     def _faults(self, transitions: Iterable[Transition]) -> Iterator[str]:
         """The first failing check of each faulty transition, in order."""
@@ -240,8 +237,10 @@ def _bits(mask: int) -> Iterator[int]:
 def image(states: int, edges: Sequence[int]) -> int:
     """Union of the bitmasks edges[q] over the states q in `states`."""
     out = 0
-    for q in _bits(states):
-        out |= edges[q]
+    while states:  # _bits inlined: this is the hottest loop of every search
+        low = states & -states
+        out |= edges[low.bit_length() - 1]
+        states ^= low
     return out
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable, Iterable, Iterator, Optional
+
 
 class ReginError(Exception):
     """Base class for errors raised by this package."""
@@ -37,3 +39,16 @@ class CheckerError(ReginError, RuntimeError):
     def __init__(self, word: str, cause: BaseException):
         super().__init__(f"checker failed on word {word!r}: {cause}")
         self.word = word
+
+
+def raise_first_fault(
+    faults: Callable[[Iterable], Iterator[str]], transitions: frozenset, key: Optional[Callable] = None
+) -> None:
+    """Raise MalformedInputError naming the first fault of `faults` over
+    the transitions sorted by `key`, if there is any fault.
+
+    A frozenset's order follows the hash seed, so the unsorted pass only
+    finds out whether some transition is faulty, and the reported fault
+    is the first in serialized order on every run."""
+    if next(faults(transitions), None):
+        raise MalformedInputError(next(faults(sorted(transitions, key=key))))

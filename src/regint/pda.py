@@ -11,10 +11,10 @@ bound ever has to be guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
-from .automata import Dfa, _check_states
-from .errors import AlphabetError, MalformedInputError
+from .automata import Dfa, _check_states, _transition_order
+from .errors import AlphabetError, MalformedInputError, raise_first_fault
 
 # (state, label or None, popped top, next state, pushed string; push[0] is the new top)
 PdaTransition = tuple[int, Optional[str], str, int, tuple[str, ...]]
@@ -34,16 +34,20 @@ class Pda:
         _check_states(self.states, self.start, self.finals)
         if self.bottom not in self.stack_alphabet:
             raise MalformedInputError("bottom: not a stack symbol")
-        for src, label, top, dst, push in self.transitions:
+        raise_first_fault(self._faults, self.transitions, lambda t: _transition_order(t) + t[3:])
+
+    def _faults(self, transitions: Iterable[PdaTransition]) -> Iterator[str]:
+        """The first failing check of each faulty transition, in order."""
+        for src, label, top, dst, push in transitions:
             if not (0 <= src < self.states and 0 <= dst < self.states):
-                raise MalformedInputError("transitions: state out of range")
-            if label is not None and label not in self.input_alphabet:
-                raise MalformedInputError(f"transitions: label {label!r} not in input alphabet")
-            if top not in self.stack_alphabet:
-                raise MalformedInputError(f"transitions: popped symbol {top!r} not in stack alphabet")
-            for sym in push:
-                if sym not in self.stack_alphabet:
-                    raise MalformedInputError(f"transitions: pushed symbol {sym!r} not in stack alphabet")
+                yield "transitions: state out of range"
+            elif label is not None and label not in self.input_alphabet:
+                yield f"transitions: label {label!r} not in input alphabet"
+            elif top not in self.stack_alphabet:
+                yield f"transitions: popped symbol {top!r} not in stack alphabet"
+            elif not self.stack_alphabet.issuperset(push):
+                bad = next(sym for sym in push if sym not in self.stack_alphabet)
+                yield f"transitions: pushed symbol {bad!r} not in stack alphabet"
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,7 @@ solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .. import _lazy_exports
 from ..errors import MalformedInputError
@@ -26,8 +25,7 @@ if TYPE_CHECKING:
 PAD = "_"
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     """One problem language P.
 
     `reserved` holds the encoding symbols that alphabet inference drops

@@ -19,9 +19,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from ..errors import MalformedInputError, MalformedWordError, ResourceLimitError
+from ..errors import MalformedInputError, MalformedWordError, ResourceLimitError, raise_first_fault
 
 # 1-based wire codes for head moves, and the head shift of each move.
 _MOVE_CODE = {"L": 1, "R": 2, "S": 3}
@@ -30,6 +30,22 @@ _SHIFT = {"L": -1, "R": 1, "S": 0}
 
 # (from state, read symbol, to state, written symbol, move)
 TmTransition = tuple[int, str, int, str, str]
+
+# A tape is a string of one-character codes.  Two codes are reserved:
+# an NL cell not read yet, and the cell past the NL read budget, which
+# has no symbol.  The tape symbols take the codes from _FIRST_CODE on.
+_UNREAD, _PAST = "\0", "\1"
+_FIRST_CODE = 2
+
+
+class _Coding(NamedTuple):
+    """A machine on coded tapes: `codes` translates an input string, and
+    `rows[state][code]` lists that pair's (to state, written code, head
+    shift) moves in sorted transition order."""
+
+    codes: dict[int, str]
+    blank: str
+    rows: tuple[dict[str, tuple[tuple[int, str, int], ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -57,10 +73,7 @@ class TmSpec:
         for q in (self.start, self.accept):
             if not 0 <= q < self.states:
                 raise MalformedInputError(f"start/accept: state {q} out of range")
-        if next(self._faults(self.transitions), None):
-            # a frozenset's order follows the hash seed: name the first
-            # fault in serialized order instead
-            raise MalformedInputError(next(self._faults(sorted(self.transitions))))
+        raise_first_fault(self._faults, self.transitions)
 
     def _faults(self, transitions: Iterable[TmTransition]) -> Iterator[str]:
         """The first failing check of each faulty transition, in order."""
@@ -78,15 +91,28 @@ class TmSpec:
     # Built once per machine: decode_tm shares one TmSpec across every
     # word with the same encoding, so these are read-only by convention.
     @cached_property
-    def _moves(self) -> dict[tuple[int, str], tuple[TmTransition, ...]]:
-        out: dict[tuple[int, str], list[TmTransition]] = {}
-        for t in sorted(self.transitions):
-            out.setdefault((t[0], t[1]), []).append(t)
-        return {key: tuple(moves) for key, moves in out.items()}
-
-    @cached_property
     def _inputs(self) -> frozenset[str]:
         return frozenset(self.input_alphabet)
+
+    @cached_property
+    def _coding(self) -> _Coding:
+        # The symbols a run can meet: the blank, the input symbols x can
+        # spell (one character each), and those the moves read or write.
+        # Only they get a code, so the codes stay in chr's range whatever
+        # the size of the tape alphabet.
+        met = {self.blank, *(s for s in self.input_alphabet if len(s) == 1)}
+        met.update(sym for t in self.transitions for sym in (t[1], t[3]))
+        code = {sym: chr(i) for i, sym in enumerate((s for s in self.tape_alphabet if s in met), _FIRST_CODE)}
+        rows: dict[int, dict[str, list[tuple[int, str, int]]]] = {}
+        for src, read, dst, write, move in sorted(self.transitions):
+            rows.setdefault(src, {}).setdefault(code[read], []).append((dst, code[write], _SHIFT[move]))
+        stuck: dict = {}  # one shared row for every state without moves
+        return _Coding(
+            codes={ord(s): c for s, c in code.items() if len(s) == 1},
+            blank=code[self.blank],
+            rows=tuple({c: tuple(moves) for c, moves in rows[q].items()} if q in rows else stuck
+                       for q in range(self.states)),
+        )
 
 
 # --------------------------------------------------------------------------
@@ -184,19 +210,24 @@ class MachineWord:
     tm: TmSpec
 
 
-def parse_machine_word(word: str) -> MachineWord:
+def _parse(word: str) -> tuple[TmSpec, str, int]:
+    """The machine, input and pad count of ⟨M⟩$x$aⁿ, or MalformedWordError."""
     parts = word.split("$")
     if len(parts) != 3:
         raise MalformedWordError("expected exactly two '$' separators")
     encoding, x, pads = parts
     tm = decode_tm(encoding)
-    inputs = tm._inputs
-    for c in x:
-        if c not in inputs:
-            raise MalformedWordError(f"input symbol {c!r} not in the machine's input alphabet")
+    if not tm._inputs.issuperset(x):
+        bad = next(c for c in x if c not in tm._inputs)
+        raise MalformedWordError(f"input symbol {bad!r} not in the machine's input alphabet")
     if pads.count("a") != len(pads):
         raise MalformedWordError("padding must be a run of 'a'")
-    return MachineWord(encoding, x, len(pads), tm)
+    return tm, x, len(pads)
+
+
+def parse_machine_word(word: str) -> MachineWord:
+    tm, x, n = _parse(word)
+    return MachineWord(word.partition("$")[0], x, n, tm)
 
 
 def member_machine_language(word: str, mode: str, max_configs: int = 200_000) -> bool:
@@ -209,47 +240,50 @@ def member_machine_language(word: str, mode: str, max_configs: int = 200_000) ->
     if mode not in ("NL", "NP", "PSPACE"):
         raise ValueError(f"mode must be NL, NP or PSPACE, got {mode!r}")
     try:
-        mw = parse_machine_word(word)
+        tm, x, n = _parse(word)
     except MalformedWordError:
         return False
-    tm, x, n = mw.tm, mw.x, mw.pad_count
+    if tm.start == tm.accept:
+        return n > 0 or mode != "NL"  # accepted in zero steps, but log 0 is undefined
+    if n < 1:
+        return False  # no step to take, no cell to stand on, or log 0 undefined
+    coding = tm._coding
+    x = x.translate(coding.codes)
+    blank = coding.blank
     if mode == "NP":
         width = max(len(x), n + 1)  # the head cannot pass cell n+1 in n steps
-        tape = tuple((x + tm.blank * width)[:width])
+        tape = (x + blank * width)[:width]
         return _accepts(tm, tape, tape, n, max_configs, mode)
     if mode == "PSPACE":
         # the head stays on the first n cells, and the cells past them keep
         # their initial content, so the tape holds only those n
-        if n < 1:
-            return tm.start == tm.accept  # no cell for the head to stand on
-        tape = tuple((x + tm.blank * n)[:n])
+        tape = (x + blank * n)[:n]
         return _accepts(tm, tape, tape, None, max_configs, mode)
-    if n < 1:
-        return False  # log of 0 undefined; such words are non-members
     # Reads start at cell 1, so the cells read so far are always an
-    # interval [1, k]: None marks the cells past it, and the one cell past
-    # the budget of floor(log2 n) reads has no symbol to read.
+    # interval [1, k]: _UNREAD marks the cells past it, and the one cell
+    # past the budget of floor(log2 n) reads has no symbol to read.
     cells = n.bit_length() - 1
-    fresh = tuple((x + tm.blank * cells)[:cells]) + (None,)
-    return _accepts(tm, (None,) * (cells + 1), fresh, None, max_configs, mode)
+    fresh = (x + blank * cells)[:cells] + _PAST
+    return _accepts(tm, _UNREAD * (cells + 1), fresh, None, max_configs, mode)
 
 
 def _accepts(
-    tm: TmSpec, tape0: tuple, fresh: tuple, steps: int | None, max_configs: int, mode: str
+    tm: TmSpec, tape0: str, fresh: str, steps: int | None, max_configs: int, mode: str
 ) -> bool:
     """Layered breadth-first search over configurations (state, head,
     tape) from (start, 0, tape0) for a run into the accept state within
-    `steps` steps (None: no step bound).
+    `steps` steps (None: no step bound).  The tape is a string of the
+    machine's one-character codes; the start state is not the accept
+    state.
 
-    The head stays on the tape.  A None cell has not been read yet
-    (NL mode): it reads as its `fresh` symbol, and the write that
-    follows every read marks it read.  A position merely parked on is
-    not read.  The frontier is a list, so configurations are visited in
-    one fixed order and the cap is hit at the same point on every run.
+    The head stays on the tape.  An _UNREAD cell has not been read yet
+    (NL mode): it reads as its `fresh` code, and the write that follows
+    every read marks it read.  A position merely parked on is not read.
+    The frontier is a list, so configurations are visited in one fixed
+    order and the cap is hit at the same point on every run.
     """
-    if tm.start == tm.accept:
-        return True
-    moves = tm._moves
+    coding = tm._coding
+    rows, accept, last = coding.rows, tm.accept, len(tape0) - 1
     frontier = [(tm.start, 0, tape0)]
     seen = set(frontier)
     depth = 0
@@ -258,15 +292,15 @@ def _accepts(
         layer, frontier = frontier, []
         for state, head, tape in layer:
             symbol = tape[head]
-            if symbol is None:
+            if symbol == _UNREAD:
                 symbol = fresh[head]
-            for _, _, dst, write, move in moves.get((state, symbol), ()):
-                new_head = head + _SHIFT[move]
-                if not 0 <= new_head < len(tape):
+            for dst, write, shift in rows[state].get(symbol, ()):
+                new_head = head + shift
+                if not 0 <= new_head <= last:
                     continue
-                if dst == tm.accept:
+                if dst == accept:
                     return True
-                cfg = (dst, new_head, tape[:head] + (write,) + tape[head + 1:])
+                cfg = (dst, new_head, tape[:head] + write + tape[head + 1:])
                 if cfg not in seen:
                     seen.add(cfg)
                     frontier.append(cfg)

@@ -13,8 +13,9 @@ import itertools
 from collections import deque
 
 from regint.automata import Dfa
+from regint.errors import MalformedWordError, ResourceLimitError
 from regint.pda import Pda
-from regint.problems import PcpInstance, TmSpec, interleave, pad_to_common
+from regint.problems import PcpInstance, TmSpec, decode_tm, interleave, pad_to_common
 from regint.problems.tiling import Tiling, TilingInstance, validate_tiling
 from regint.reductions import WHITE, normalize_tm, reduce_ntm_to_tiles
 
@@ -224,6 +225,74 @@ ACCEPT_NOW = TmSpec(states=1, input_alphabet=("0",), tape_alphabet=("_", "0"),
 NEVER = TmSpec(states=2, input_alphabet=("0", "1"), tape_alphabet=("_", "0", "1"),
                blank="_", start=0, accept=1,
                transitions=frozenset({(0, "0", 0, "0", "R"), (0, "1", 0, "1", "R")}))
+
+
+_SHIFT = {"L": -1, "R": 1, "S": 0}
+
+
+def bfs_member_machine_language(word, mode, max_configs=200_000):
+    """Reference for member_machine_language: the layered breadth-first
+    configuration search on tuple tapes of symbol names, with None for
+    an unread NL cell, that the checker ran before its coded tapes.
+    Same answers, same cap, same visiting order."""
+    if mode not in ("NL", "NP", "PSPACE"):
+        raise ValueError(mode)
+    parts = word.split("$")
+    if len(parts) != 3:
+        return False
+    encoding, x, pads = parts
+    try:
+        tm = decode_tm(encoding)
+    except MalformedWordError:
+        return False
+    if any(c not in tm.input_alphabet for c in x) or set(pads) - {"a"}:
+        return False
+    n = len(pads)
+    if mode == "NP":
+        width = max(len(x), n + 1)
+        tape = tuple((x + tm.blank * width)[:width])
+        return _bfs_accepts(tm, tape, tape, n, max_configs)
+    if mode == "PSPACE":
+        if n < 1:
+            return tm.start == tm.accept
+        tape = tuple((x + tm.blank * n)[:n])
+        return _bfs_accepts(tm, tape, tape, None, max_configs)
+    if n < 1:
+        return False
+    cells = n.bit_length() - 1
+    fresh = tuple((x + tm.blank * cells)[:cells]) + (None,)
+    return _bfs_accepts(tm, (None,) * (cells + 1), fresh, None, max_configs)
+
+
+def _bfs_accepts(tm, tape0, fresh, steps, max_configs):
+    if tm.start == tm.accept:
+        return True
+    moves = {}
+    for t in sorted(tm.transitions):
+        moves.setdefault((t[0], t[1]), []).append(t)
+    frontier = [(tm.start, 0, tape0)]
+    seen = set(frontier)
+    depth = 0
+    while frontier and depth != steps:
+        depth += 1
+        layer, frontier = frontier, []
+        for state, head, tape in layer:
+            symbol = tape[head]
+            if symbol is None:
+                symbol = fresh[head]
+            for _, _, dst, write, move in moves.get((state, symbol), ()):
+                new_head = head + _SHIFT[move]
+                if not 0 <= new_head < len(tape):
+                    continue
+                if dst == tm.accept:
+                    return True
+                cfg = (dst, new_head, tape[:head] + (write,) + tape[head + 1:])
+                if cfg not in seen:
+                    seen.add(cfg)
+                    frontier.append(cfg)
+                    if len(seen) > max_configs:
+                        raise ResourceLimitError("configuration cap exceeded")
+    return False
 
 
 def head_color(state, symbol):

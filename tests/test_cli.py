@@ -838,3 +838,15 @@ def test_each_call_imports_only_what_it_runs(files, argv, loaded):
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode in (0, 1), proc.stdout
     assert ast.literal_eval(proc.stderr) == sorted(CALL_BASE | loaded)
+
+
+def test_a_string_check_does_not_import_dataclasses():
+    # the problem table is a NamedTuple, so the string checkers' call
+    # skips dataclasses and the inspect, ast and dis modules it pulls in
+    script = RUN_AND_LIST_MODULES.replace("m.startswith('regint')", "m in ('ast', 'dataclasses', 'dis', 'inspect')")
+    src = str(Path(regint.__file__).parents[1])  # the package under test
+    proc = subprocess.run([sys.executable, "-c", script, "check", "--problem", "shuffled-string-eq",
+                           "--word", "a_ba_b"], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stdout
+    assert ast.literal_eval(proc.stderr) == []

@@ -1,7 +1,10 @@
 """Turing machine encoding and the three resource-bounded acceptance
-modes, checked against runs traced by hand."""
+modes, checked against runs traced by hand and against the layered
+configuration search of tests/helpers.py."""
 
+import collections
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +25,7 @@ from regint.problems import (
 from regint.reductions import reduce_tm_to_machine_lang
 from regint.search import enumerate_words
 
-from helpers import ACCEPT_NOW, M1, M2, NEVER
+from helpers import ACCEPT_NOW, M1, M2, NEVER, bfs_member_machine_language
 
 MACHINES = [M1, M2, ACCEPT_NOW, NEVER]
 
@@ -273,6 +276,69 @@ def test_answer_at_the_cap_does_not_depend_on_the_hash_seed():
         for seed in range(6)
     }
     assert len(outcomes) == 1, outcomes
+
+
+# ---------------------------------------------------------------------------
+# differential: the checker against the layered search it replaced
+
+
+def random_tm(rng, states, inputs, deterministic):
+    """A canonical-layout machine; a nondeterministic one may give a
+    (state, symbol) pair up to three moves."""
+    tape = ("_",) + tuple(str(i) for i in range(inputs))
+    accept = 1 if states > 1 else 0
+    transitions = set()
+    for src in range(states):
+        if src != accept:
+            for read in tape:
+                for _ in range(rng.choice((0, 1, 1) if deterministic else (0, 1, 2, 3))):
+                    transitions.add((src, read, rng.randrange(states), rng.choice(tape), rng.choice("LRS")))
+    return TmSpec(states=states, input_alphabet=tape[1:], tape_alphabet=tape, blank="_",
+                  start=0, accept=accept, transitions=frozenset(transitions))
+
+
+def outcome(checker, word, mode, max_configs):
+    try:
+        return checker(word, mode, max_configs)
+    except ResourceLimitError:
+        return "cap"
+
+
+PADS = {"NP": range(0, 9), "PSPACE": range(0, 6), "NL": (0, 1, 2, 3, 4, 8, 16)}
+
+
+def differential_words(rng, tm):
+    enc = encode_tm(tm)
+    letters = [s for s in tm.input_alphabet if len(s) == 1]
+    for _ in range(3):
+        x = "".join(rng.choice(letters) for _ in range(rng.randrange(5)))
+        yield from (f"{enc}${x}${'a' * n}" for n in range(17))
+    yield from (f"{enc}$0$", f"{enc}$$a$a", f"{enc}$0$ab", f"{enc}$_$aa", f"{enc}$x$aa",
+                f"{enc}$9$aaaa", f"{enc}1$0$aa", f"{enc}0$$aa", f"{enc}")
+
+
+@pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "nondeterministic"])
+def test_checker_agrees_with_the_layered_search(deterministic):
+    rng = random.Random(16)
+    agreed = collections.Counter()
+    branching = 0
+    for trial in range(160):
+        inputs = 11 if trial % 20 == 0 else rng.randint(1, 3)  # 12 tape symbols: "10" is one
+        tm = random_tm(rng, rng.randint(1, 4), inputs, deterministic)
+        pairs = collections.Counter((src, read) for src, read, *_ in tm.transitions)
+        branching += any(count > 1 for count in pairs.values())
+        for word in differential_words(rng, tm):
+            pads = len(word) - len(word.rstrip("a"))
+            for mode in ("NP", "NL", "PSPACE"):
+                if pads not in PADS[mode]:
+                    continue
+                for max_configs in (1, 2, 3, 200_000):
+                    want = outcome(bfs_member_machine_language, word, mode, max_configs)
+                    assert outcome(member_machine_language, word, mode, max_configs) == want, (
+                        tm, word, mode, max_configs)
+                    agreed[want] += 1
+    assert set(agreed) == {True, False, "cap"}, agreed
+    assert bool(branching) != deterministic
 
 
 # ---------------------------------------------------------------------------

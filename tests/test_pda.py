@@ -1,6 +1,13 @@
 """PDA construction, DFA products, and CFG-based emptiness."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import regint
 
 from regint.automata import determinize, parse_regex, regex_to_nfa
 from regint.errors import AlphabetError, MalformedInputError
@@ -55,6 +62,26 @@ def test_pda_names_its_first_bad_field(fields, message):
     with pytest.raises(MalformedInputError) as exc:
         Pda(**{**good, **fields})
     assert str(exc.value) == message
+
+
+def test_the_first_fault_named_does_not_depend_on_the_hash_seed():
+    # four faulty moves: a frozenset's order would pick a different one
+    # under different hash seeds, the sorted order always the silent "X" pop
+    script = ("from regint.errors import MalformedInputError\n"
+              "from regint.pda import Pda\n"
+              "moves = frozenset({(0, 'b', 'Z', 0, ()), (0, 'c', 'Z', 0, ()), (0, 'd', 'Z', 0, ()),\n"
+              "                   (0, None, 'X', 0, ()), (0, 'a', 'Z', 0, ('Z',))})\n"
+              "try:\n"
+              "    Pda(1, frozenset('a'), frozenset('Z'), 'Z', moves, 0, frozenset())\n"
+              "except MalformedInputError as exc:\n"
+              "    print(exc)\n")
+    src = str(Path(regint.__file__).parents[1])  # the package under test
+    outcomes = {
+        subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                       env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}).stdout
+        for seed in range(7)
+    }
+    assert outcomes == {"transitions: popped symbol 'X' not in stack alphabet\n"}
 
 
 # ---------------------------------------------------------------------------

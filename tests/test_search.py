@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from regint.automata import Nfa, Tables, determinize, parse_regex, regex_to_nfa
+from regint.automata import Nfa, Tables, accepts, determinize, parse_regex, regex_to_nfa
 from regint.errors import CheckerError, MalformedInputError
 from regint.problems import (
     encode_tm,
@@ -105,6 +105,18 @@ def simulate(nfa, word):
 @given(nfas())
 def test_enumerate_matches_a_brute_force_oracle(nfa):
     assert list(enumerate_words(nfa, 5)) == [w for w in all_words(nfa.alphabet, 5) if simulate(nfa, w)]
+
+
+@pytest.mark.parametrize("text", [
+    "_", "a", "a|b|c", "_|c", "ab", "ba|ab|cc", "(a|b|c)(a|b|c)", "(_|a)(_|c)", "_|a|bc", "c(a|b)|a",
+])
+def test_enumerate_languages_of_words_up_to_length_two(text):
+    # the shortest streams: the search stack never holds more than two frames
+    for automaton in (nfa_for(text, "abc"), determinize(nfa_for(text, "abc"))):
+        want = [w for w in all_words("abc", 4) if accepts(automaton, w)]
+        assert max(map(len, want)) <= 2
+        assert list(enumerate_words(automaton, 4)) == want
+        assert list(enumerate_words(automaton, 1)) == [w for w in want if len(w) <= 1]
 
 
 def stream_digest(words):
