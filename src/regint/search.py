@@ -53,6 +53,20 @@ class WitnessReport:
 
 
 _BLOCK = 64  # states per block of the backward chain's memo
+_TAIL = 4  # longest tail: last letters of a word spelled once per state set, shared by its prefixes
+_MEMO_CAP = 2**14  # entries the successor, branch and tail memos hold before they clear
+
+
+def _tail_length(letters: int) -> int:
+    """Tail letters over an alphabet of `letters` symbols: at most `_TAIL`,
+    and few enough that one tail list fills at most a quarter of
+    `_MEMO_CAP`, so a list is built in bounded time and several fit
+    between clears.  At least one: a one-letter tail list is no longer
+    than the successor list the search steps anyway."""
+    r = _TAIL
+    while r > 1 and letters**r > _MEMO_CAP // 4:
+        r -= 1
+    return r
 
 
 def enumerate_words(automaton: Automaton, max_len: int) -> Iterator[str]:
@@ -64,30 +78,68 @@ def enumerate_words(automaton: Automaton, max_len: int) -> Iterator[str]:
     regular languages", TCS 410, 2009).  Work is shared across lengths:
     the successors of a state set are stepped once per call and kept, and
     each (state set, `fin` value) pair keeps the branches filtered from
-    them.  The backward chain `fin` memoises its predecessor image per
-    block of `_BLOCK` states.  The word is spelled from one path string
-    cut back to the current depth, so the search holds at most L frames
-    and O(L) letters.  Memory is O(max_len·|Q|) for `fin`, plus the
-    successors of each state set reached and its filtered branches, plus
-    the block memo, however large the language.
+    them.  The last R letters are shared too (Ackerman & Mäkinen, "Three
+    new algorithms for regular language enumeration", COCOON 2009): the
+    search stops R letters above the leaves, where every prefix that
+    reaches the same state set takes one list of its tails, spelled once
+    in lexicographic order.  R is `_tail_length(|Σ|)`: at most `_TAIL`,
+    and small enough that |Σ|^R is at most a quarter of `_MEMO_CAP`.  A
+    length of at most R is the tail list of the start set.  The backward
+    chain `fin` memoises its predecessor image per block of `_BLOCK`
+    states.  The prefix is spelled from one path string cut back to the
+    current depth, so the search holds fewer than L frames and O(L)
+    letters besides the tails.
+
+    Memory is O(max_len·|Q|) for `fin`, plus the block memo, plus the
+    successor, branch and tail memos, however large the language or its
+    alphabet.  A tail list holds at most |Σ|^R strings.  The three memos
+    clear together once they hold `_MEMO_CAP` entries, each tail string
+    counted as one; the lists that live frames still walk stay theirs,
+    and each memo is a pure function of its key, so the stream is the
+    same.
     """
     t = automaton.tables
+    share = _tail_length(len(t.symbols))
     fin = [t.finals]  # fin[r]: states with a path of exactly r letters to a final state
     first = {t.finals: 0}  # where each fin value first appeared, until one repeats
     period = 0
     succ: dict[int, list[tuple[str, int]]] = {}  # state set -> its non-empty steps
     viable: dict[tuple[int, int], list[tuple[str, int]]] = {}
+    tail: dict[tuple[int, int], list[str]] = {}  # (state set, r) -> its r-letter tails
+    held = 0  # memo entries, each tail string counted as one
     back: dict[tuple[int, int], int] = {}  # (block, its bits) -> their predecessors
     block_mask = (1 << _BLOCK) - 1
 
-    def branches(states: int, need: int) -> Iterator[tuple[str, int]]:
+    def keep(memo: dict, key, value: list, size: int = 1) -> list:
+        nonlocal held
+        if held >= _MEMO_CAP:
+            succ.clear()
+            viable.clear()
+            tail.clear()
+            held = 0
+        held += size
+        memo[key] = value
+        return value
+
+    def branches(states: int, need: int) -> list[tuple[str, int]]:
         out = viable.get((states, need))
         if out is None:
             steps = succ.get(states)
             if steps is None:
-                steps = succ[states] = [(sym, nxt) for sym in t.symbols if (nxt := t.step(states, sym))]
-            out = viable[states, need] = [step for step in steps if step[1] & need]
-        return iter(out)
+                steps = keep(succ, states, [(sym, nxt) for sym in t.symbols if (nxt := t.step(states, sym))])
+            out = keep(viable, (states, need), [step for step in steps if step[1] & need])
+        return out
+
+    def tails(states: int, r: int) -> list[str]:
+        out = tail.get((states, r))
+        if out is None:
+            # level by level, in lexicographic order: each level extends
+            # the last by one letter, keeping only branches still viable
+            level = [("", states)]
+            for left in range(r - 1, -1, -1):
+                level = [(word + sym, nxt) for word, now in level for sym, nxt in branches(now, fin[left])]
+            out = keep(tail, (states, r), [word for word, _ in level], len(level))
+        return out
 
     def predecessors(states: int) -> int:
         out = 0
@@ -114,12 +166,13 @@ def enumerate_words(automaton: Automaton, max_len: int) -> Iterator[str]:
             fin.append(grown)
         if not t.start & fin[length]:
             continue
-        if not length:
-            yield ""
+        if length <= share:
+            yield from tails(t.start, length)
             continue
+        stem = length - share  # letters spelled by the search; tails give the rest
         path = ""  # path[:depth] spells the prefix of the innermost frame
         depth = 0
-        stack = [branches(t.start, fin[length - 1])]
+        stack = [iter(branches(t.start, fin[length - 1]))]
         while stack:
             for sym, nxt in stack[-1]:  # the next branch of the innermost frame
                 break
@@ -127,14 +180,14 @@ def enumerate_words(automaton: Automaton, max_len: int) -> Iterator[str]:
                 stack.pop()
                 depth -= 1
                 continue
-            if depth + 1 == length:
-                yield path[:depth] + sym
+            if depth + 1 == stem:
+                yield from map((path[:depth] + sym).__add__, tails(nxt, share))
             else:
                 if len(path) > depth:  # cut back what the popped frames spelled
                     path = path[:depth]
                 path += sym
                 depth += 1
-                stack.append(branches(nxt, fin[length - depth - 1]))
+                stack.append(iter(branches(nxt, fin[length - depth - 1])))
 
 
 def find_witness(

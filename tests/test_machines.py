@@ -314,7 +314,7 @@ def differential_words(rng, tm):
         x = "".join(rng.choice(letters) for _ in range(rng.randrange(5)))
         yield from (f"{enc}${x}${'a' * n}" for n in range(17))
     yield from (f"{enc}$0$", f"{enc}$$a$a", f"{enc}$0$ab", f"{enc}$_$aa", f"{enc}$x$aa",
-                f"{enc}$9$aaaa", f"{enc}1$0$aa", f"{enc}0$$aa", f"{enc}")
+                f"{enc}$9$aaaa", f"{enc}1$0$aa", f"{enc}0$$aa", f"{enc}", f"{enc}$0$$", f"{enc}$", "$$")
 
 
 @pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "nondeterministic"])

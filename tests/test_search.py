@@ -1,6 +1,7 @@
 """Shortlex enumeration and the budgeted witness search."""
 
 import collections
+import gc
 import hashlib
 import itertools
 import time
@@ -10,6 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from regint import search
 from regint.automata import Nfa, Tables, accepts, determinize, parse_regex, regex_to_nfa
 from regint.errors import CheckerError, MalformedInputError
 from regint.problems import (
@@ -46,6 +48,7 @@ def nfas(draw, letters="ab", max_states=5, max_edges=12):
 
 
 BUDGET = SearchBudget(max_word_length=10, max_words_tested=100, wall_clock_limit=5.0)
+ORACLE_LEN = search._tail_length(2) + 2  # two letters: words on both sides of the tail boundary
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +80,7 @@ def test_enumerate_empty_language_yields_nothing():
 @settings(max_examples=200, deadline=None)
 @given(nfas())
 def test_enumerate_stream_is_strictly_shortlex_and_duplicate_free(nfa):
-    words = list(enumerate_words(nfa, 5))
+    words = list(enumerate_words(nfa, ORACLE_LEN))
     assert len(set(words)) == len(words)
     assert words == sorted(words, key=lambda w: (len(w), w))
 
@@ -104,14 +107,81 @@ def simulate(nfa, word):
 @settings(max_examples=200, deadline=None)
 @given(nfas())
 def test_enumerate_matches_a_brute_force_oracle(nfa):
-    assert list(enumerate_words(nfa, 5)) == [w for w in all_words(nfa.alphabet, 5) if simulate(nfa, w)]
+    want = [w for w in all_words(nfa.alphabet, ORACLE_LEN) if simulate(nfa, w)]
+    assert list(enumerate_words(nfa, ORACLE_LEN)) == want
+
+
+def branch_nfa(letters, *branches):
+    """Each branch a word of letter classes, read from one shared start."""
+    edges = set()
+    finals = set()
+    n = 1
+    for classes in branches:
+        src = 0
+        for cls in classes:
+            edges.update((src, c, n) for c in cls)
+            src = n
+            n += 1
+        finals.add(src)
+    return Nfa(n, frozenset(letters), frozenset(edges), 0, frozenset(finals))
+
+
+TILING_LETTERS = "".join(sorted(reduce_ntm_to_tiling_lang(NEVER, "bounded").nfa.alphabet))
+ONE = search._tail_length(1)  # tail letters over one letter
+TILING = search._tail_length(len(TILING_LETTERS))  # and over the tiling alphabet's 13
+
+
+@pytest.mark.parametrize("lengths", [(ONE - 1,), (ONE,), (ONE + 1,), (ONE - 1, ONE, ONE + 1)])
+def test_enumerate_one_letter_words_at_the_tail_boundary(lengths):
+    nfa = branch_nfa("a", *(["a"] * n for n in lengths))
+    for automaton in (nfa, determinize(nfa)):
+        want = [w for w in all_words("a", ONE + 2) if accepts(automaton, w)]
+        assert [len(w) for w in want] == sorted(lengths)
+        assert list(enumerate_words(automaton, ONE + 2)) == want
+
+
+def test_enumerate_tiling_letters_at_the_tail_boundary():
+    # branches of TILING - 1, TILING and TILING + 1 letters that share
+    # their first letters, so prefixes of every length end in the same
+    # state sets
+    assert len(TILING_LETTERS) == 13 and 2 <= TILING < ONE
+    head, *rest = ["#$,", "01_q", "0:;", "12", "3$", "q4."]
+    nfa = branch_nfa(
+        TILING_LETTERS,
+        [head] + rest[:TILING - 2],
+        [head] + rest[:TILING - 1],
+        ["#"] + rest[:TILING - 1],
+        [head] + rest[:TILING],
+        ["$", "0"] + rest[2:TILING] + ["_"],
+    )
+    for automaton in (nfa, determinize(nfa)):
+        want = [w for w in all_words(TILING_LETTERS, TILING + 1) if accepts(automaton, w)]
+        assert {len(w) for w in want} == {TILING - 1, TILING, TILING + 1}
+        assert list(enumerate_words(automaton, TILING + 2)) == want
+
+
+def test_wide_alphabet_tails_stay_small():
+    # every word has five letters over twenty, so the first word waits
+    # for a tail list: 20^4 tails would take over 10 MB before the word
+    # budget is checked, 20^2 take about 30 KB
+    letters = "abcdefghijklmnopqrst"
+    nfa = branch_nfa(letters, [letters] * 5)
+    nfa.tables  # built outside the traced region
+    tracemalloc.start()
+    try:
+        rep = find_witness(nfa, lambda w: False, SearchBudget(5, 1, 5.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.outcome, rep.words_tested) == ("budget-exceeded", 1)
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("text", [
     "_", "a", "a|b|c", "_|c", "ab", "ba|ab|cc", "(a|b|c)(a|b|c)", "(_|a)(_|c)", "_|a|bc", "c(a|b)|a",
 ])
 def test_enumerate_languages_of_words_up_to_length_two(text):
-    # the shortest streams: the search stack never holds more than two frames
+    # the shortest streams: each length is one tail list of the start set
     for automaton in (nfa_for(text, "abc"), determinize(nfa_for(text, "abc"))):
         want = [w for w in all_words("abc", 4) if accepts(automaton, w)]
         assert max(map(len, want)) <= 2
@@ -160,6 +230,45 @@ def test_enumerate_steps_each_state_set_once_per_symbol(monkeypatch):
     monkeypatch.setattr(Tables, "step", counted)
     assert sum(1 for _ in enumerate_words(nfa, bound)) == 14_693
     assert calls and max(calls.values()) == 1
+
+
+def test_enumerate_keeps_its_stream_when_the_memos_clear(monkeypatch):
+    monkeypatch.setattr(search, "_MEMO_CAP", 64)
+    test_enumerate_never_tiling_stream_is_pinned()
+    test_enumerate_never_machine_stream_is_pinned()
+
+
+def test_enumerate_memos_stay_bounded_when_state_sets_never_repeat(monkeypatch):
+    # each prefix of this language reaches a state set of its own, so
+    # memos without a cap grow with every word: about 1.5 MB over these
+    # 3,000 words, where a cap of 256 entries keeps the peak near 55 KB
+    nfa = nfa_for("(a|b)*a" + "(a|b)" * 30, "ab")
+    nfa.tables  # built outside the traced region
+    words = 3000
+    want = list(itertools.islice(enumerate_words(nfa, 31), words))
+    monkeypatch.setattr(search, "_MEMO_CAP", 256)
+    tracemalloc.start()
+    try:
+        same = sum(got == word for got, word in zip(enumerate_words(nfa, 31), want))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same == words
+    assert peak < 2**17
+
+
+def test_enumerate_leaves_no_cyclic_garbage():
+    # the memos live in the call's frame; a reference cycle through them
+    # would keep them all until the next full collection
+    dfa = determinize(reduce_tm_to_machine_lang(NEVER).nfa)
+    dfa.tables
+    gc.collect()
+    gc.disable()
+    try:
+        assert sum(1 for _ in enumerate_words(dfa, len(encode_tm(NEVER)) + 16)) == 65_519
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumerate_long_words_in_linear_memory():
@@ -280,11 +389,11 @@ def test_replayable_reports():
 def test_accept_checker_returns_the_shortlex_least_word(nfa):
     from regint.automata import accepts
 
-    least = next(enumerate_words(nfa, 6), None)
+    least = next(enumerate_words(nfa, ORACLE_LEN), None)
     rep = find_witness(
         nfa,
         lambda w: accepts(nfa, w),
-        SearchBudget(max_word_length=6, max_words_tested=10_000, wall_clock_limit=10.0),
+        SearchBudget(max_word_length=ORACLE_LEN, max_words_tested=10_000, wall_clock_limit=10.0),
     )
     if least is None:
         assert rep.outcome == "exhausted"
