@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .errors import AlphabetError, MalformedInputError, RegexSyntaxError, raise_first_fault
+from .errors import (AlphabetError, MalformedInputError, RegexSyntaxError, document, entries, is_chars, is_int,
+                     raise_first_fault, require)
 from .symbols import METACHARS
 
 
@@ -489,37 +490,20 @@ def automaton_from_json(obj: object) -> Automaton:
     Raises MalformedInputError naming the offending field; for the dfa
     kind the transition table must be total and single-valued.
     """
-    if not isinstance(obj, dict):
-        raise MalformedInputError("document: expected a JSON object")
+    obj = document(obj)
     kind = obj.get("kind")
     if kind not in ("nfa", "dfa"):
         raise MalformedInputError(f"kind: expected 'nfa' or 'dfa', got {kind!r}")
-    alphabet = obj.get("alphabet")
-    if not isinstance(alphabet, list) or not all(isinstance(s, str) and len(s) == 1 for s in alphabet):
-        raise MalformedInputError("alphabet: expected a list of single-character strings")
+    alphabet = require(obj, "alphabet", is_chars, "a list of single-character strings")
     if len(set(alphabet)) != len(alphabet):
         raise MalformedInputError("alphabet: duplicate symbols")
-    states = obj.get("states")
-    if not isinstance(states, int) or isinstance(states, bool) or states < 1:
-        raise MalformedInputError("states: expected a positive integer")
-    start = obj.get("start")
-    if not isinstance(start, int) or isinstance(start, bool):
-        raise MalformedInputError("start: expected an integer")
-    finals = obj.get("finals")
-    if not isinstance(finals, list) or not all(isinstance(f, int) and not isinstance(f, bool) for f in finals):
-        raise MalformedInputError("finals: expected a list of integers")
-    raw = obj.get("transitions")
-    if not isinstance(raw, list):
-        raise MalformedInputError("transitions: expected a list")
+    states = require(obj, "states", lambda v: is_int(v) and v >= 1, "a positive integer")
+    start = require(obj, "start", is_int, "an integer")
+    finals = require(obj, "finals", lambda v: isinstance(v, list) and all(map(is_int, v)), "a list of integers")
     triples: list[Transition] = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise MalformedInputError(f"transitions[{i}]: expected an object")
-        for key in ("from", "on", "to"):
-            if key not in entry:
-                raise MalformedInputError(f"transitions[{i}].{key}: missing")
+    for i, entry in entries(obj, "transitions", ("from", "on", "to")):
         src, label, dst = entry["from"], entry["on"], entry["to"]
-        if not all(isinstance(q, int) and not isinstance(q, bool) for q in (src, dst)):
+        if not (is_int(src) and is_int(dst)):
             raise MalformedInputError(f"transitions[{i}]: 'from' and 'to' must be integers")
         if label is not None and not (isinstance(label, str) and len(label) == 1):
             raise MalformedInputError(f"transitions[{i}].on: expected a single character or null")

@@ -54,7 +54,7 @@ def _load_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise MalformedInputError(f"in: cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, an int past the digit limit, deep nesting
         raise MalformedInputError(f"in: {path} is not JSON: {exc}") from exc
 
 
@@ -106,9 +106,12 @@ def _run_search(args) -> int:
 def _run_reduce(args) -> int:
     payload = REDUCTIONS[args.kind](_load_json(args.infile), args.variant)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle, sort_keys=True, indent=2)
+                handle.write("\n")
+        except OSError as exc:
+            raise MalformedInputError(f"out: cannot write {args.out}: {exc.strerror or exc}") from exc
     _emit(payload)
     return 0
 

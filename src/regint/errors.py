@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the field checks every JSON reader uses."""
 
 from __future__ import annotations
 
@@ -52,3 +52,49 @@ def raise_first_fault(
     is the first in serialized order on every run."""
     if next(faults(transitions), None):
         raise MalformedInputError(next(faults(sorted(transitions, key=key))))
+
+
+def is_int(value: object) -> bool:
+    """An int that is not a bool: JSON's true and false are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_chars(value: object) -> bool:
+    """A list of single-character strings."""
+    return isinstance(value, list) and all(isinstance(c, str) and len(c) == 1 for c in value)
+
+
+def is_strings(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+
+def document(obj: object) -> dict:
+    """The document itself, which must be a JSON object."""
+    if not isinstance(obj, dict):
+        raise MalformedInputError("document: expected a JSON object")
+    return obj
+
+
+def require(obj: dict, key: str, valid: Callable[[object], bool], expected: str):
+    """obj[key], or None when it is absent, if `valid` accepts it;
+    otherwise raise "<key>: expected <expected>"."""
+    value = obj.get(key)
+    if not valid(value):
+        raise MalformedInputError(f"{key}: expected {expected}")
+    return value
+
+
+def entries(obj: dict, key: str, keys: Iterable[str]) -> Iterator[tuple[int, dict]]:
+    """Yield (i, entry) for the list obj[key] of objects that each carry
+    every one of `keys`.
+
+    A generator, so the caller's own checks on entry i run before the
+    shape of entry i + 1 is checked: with faults in both, the first is
+    the one reported."""
+    for i, entry in enumerate(require(obj, key, lambda v: isinstance(v, list), "a list")):
+        if not isinstance(entry, dict):
+            raise MalformedInputError(f"{key}[{i}]: expected an object")
+        for name in keys:
+            if name not in entry:
+                raise MalformedInputError(f"{key}[{i}].{name}: missing")
+        yield i, entry

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .. import _lazy_exports
-from ..errors import MalformedInputError
+from ..errors import MalformedInputError, is_int, require
 from ..symbols import METACHARS, SEPARATOR
 
 if TYPE_CHECKING:
@@ -106,9 +106,7 @@ def _solve_bpcp(document: object) -> Optional[dict]:
     from .bpcp import check_bpcp, pcp_from_json
     if not isinstance(document, dict) or "k" not in document:
         raise MalformedInputError("k: missing bound for bpcp")
-    bound = document["k"]
-    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
-        raise MalformedInputError("k: expected a positive integer")
+    bound = require(document, "k", lambda v: is_int(v) and v >= 1, "a positive integer")
     solution = check_bpcp(pcp_from_json(document), bound)
     return None if solution is None else {"indices": list(solution.indices), "bound": solution.bound}
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import MalformedInputError, MalformedWordError
+from ..errors import MalformedInputError, MalformedWordError, document, is_chars, is_strings, require
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,15 @@ def check_bpcp(instance: PcpInstance, k: int) -> Optional[BpcpSolution]:
     sequence survives only while one concatenation is a prefix of the
     other, and is kept as the (top, bottom) rests after their common
     prefix, one of them empty.  Iterative deepening makes the order
-    length-then-lex.
+    length-then-lex.  Every consistent sequence extends a consistent
+    shorter one, so the search stops at the first length with none.
     """
     pairs = list(zip(instance.list_a, instance.list_b))
     for depth in range(1, k + 1):
         # (top rest, bottom rest, untried indices) before each chosen position:
         # an explicit stack, so a large k cannot exhaust the recursion limit
         indices = [0] * depth
+        alive = False
         stack = [("", "", iter(range(len(pairs))))]
         while stack:
             top, bottom, untried = stack[-1]
@@ -81,6 +83,10 @@ def check_bpcp(instance: PcpInstance, k: int) -> Optional[BpcpSolution]:
                 stack.append((top, bottom, iter(range(len(pairs)))))
             elif not top and not bottom:
                 return BpcpSolution(tuple(indices), k)
+            else:
+                alive = True
+        if not alive:
+            break
     return None
 
 
@@ -138,13 +144,8 @@ def pcp_to_json(instance: PcpInstance) -> dict:
 
 
 def pcp_from_json(obj: object) -> PcpInstance:
-    if not isinstance(obj, dict):
-        raise MalformedInputError("document: expected a JSON object")
-    alphabet = obj.get("alphabet")
-    if not isinstance(alphabet, list) or not all(isinstance(c, str) and len(c) == 1 for c in alphabet):
-        raise MalformedInputError("alphabet: expected a list of single-character strings")
-    for key in ("a", "b"):
-        value = obj.get(key)
-        if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
-            raise MalformedInputError(f"{key}: expected a list of strings")
-    return PcpInstance(frozenset(alphabet), tuple(obj["a"]), tuple(obj["b"]))
+    obj = document(obj)
+    alphabet = require(obj, "alphabet", is_chars, "a list of single-character strings")
+    list_a = require(obj, "a", is_strings, "a list of strings")
+    list_b = require(obj, "b", is_strings, "a list of strings")
+    return PcpInstance(frozenset(alphabet), tuple(list_a), tuple(list_b))

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from ..errors import MalformedInputError, MalformedWordError, ResourceLimitError, raise_first_fault
+from ..errors import (MalformedInputError, MalformedWordError, ResourceLimitError, document, entries, is_chars,
+                      is_int, raise_first_fault, require)
 
 # 1-based wire codes for head moves, and the head shift of each move.
 _MOVE_CODE = {"L": 1, "R": 2, "S": 3}
@@ -329,46 +330,20 @@ def tm_to_json(tm: TmSpec) -> dict:
 
 
 def tm_from_json(obj: object) -> TmSpec:
-    if not isinstance(obj, dict):
-        raise MalformedInputError("document: expected a JSON object")
-    states = obj.get("states")
-    if not isinstance(states, int) or isinstance(states, bool):
-        raise MalformedInputError("states: expected an integer")
-    for key in ("input", "tape"):
-        value = obj.get(key)
-        if not isinstance(value, list) or not all(isinstance(s, str) and len(s) == 1 for s in value):
-            raise MalformedInputError(f"{key}: expected a list of single-character strings")
-    blank = obj.get("blank")
-    if not isinstance(blank, str) or len(blank) != 1:
-        raise MalformedInputError("blank: expected a single character")
-    for key in ("start", "accept"):
-        if not isinstance(obj.get(key), int) or isinstance(obj.get(key), bool):
-            raise MalformedInputError(f"{key}: expected an integer")
-    delta = obj.get("delta")
-    if not isinstance(delta, list):
-        raise MalformedInputError("delta: expected a list")
+    obj = document(obj)
+    states = require(obj, "states", is_int, "an integer")
+    input_alphabet = require(obj, "input", is_chars, "a list of single-character strings")
+    tape_alphabet = require(obj, "tape", is_chars, "a list of single-character strings")
+    blank = require(obj, "blank", lambda v: isinstance(v, str) and len(v) == 1, "a single character")
+    start = require(obj, "start", is_int, "an integer")
+    accept = require(obj, "accept", is_int, "an integer")
     transitions = []
-    for i, entry in enumerate(delta):
-        if not isinstance(entry, dict):
-            raise MalformedInputError(f"delta[{i}]: expected an object")
-        for key in ("from", "read", "to", "write", "move"):
-            if key not in entry:
-                raise MalformedInputError(f"delta[{i}].{key}: missing")
+    for i, entry in entries(obj, "delta", ("from", "read", "to", "write", "move")):
         for key in ("from", "to"):
-            if not isinstance(entry[key], int) or isinstance(entry[key], bool):
+            if not is_int(entry[key]):
                 raise MalformedInputError(f"delta[{i}].{key}: expected an integer")
         for key in ("read", "write", "move"):
             if not isinstance(entry[key], str):
                 raise MalformedInputError(f"delta[{i}].{key}: expected a string")
-        transitions.append(
-            (entry["from"], entry["read"], entry["to"], entry["write"], entry["move"])
-        )
-    return TmSpec(
-        states=states,
-        input_alphabet=tuple(obj["input"]),
-        tape_alphabet=tuple(obj["tape"]),
-        blank=blank,
-        start=obj["start"],
-        accept=obj["accept"],
-        transitions=frozenset(transitions),
-    )
+        transitions.append((entry["from"], entry["read"], entry["to"], entry["write"], entry["move"]))
+    return TmSpec(states, tuple(input_alphabet), tuple(tape_alphabet), blank, start, accept, frozenset(transitions))

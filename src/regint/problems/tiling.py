@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from ..errors import MalformedInputError, MalformedWordError, ResourceLimitError
+from ..errors import (MalformedInputError, MalformedWordError, ResourceLimitError, document, is_int, is_strings,
+                      require)
 
 _DELIMITERS = set(",;$#")
 
@@ -357,30 +358,24 @@ def tile_set_to_json(tile_set: TileSet) -> dict:
     }
 
 
+def _string_or_null(value: object) -> bool:
+    return value is None or isinstance(value, str)
+
+
 def tile_set_from_json(obj: object) -> TileSet:
-    if not isinstance(obj, dict):
-        raise MalformedInputError("document: expected a JSON object")
-    colors = obj.get("colors")
-    if not isinstance(colors, list) or not all(isinstance(c, str) for c in colors):
-        raise MalformedInputError("colors: expected a list of strings")
-    raw = obj.get("tiles")
-    if not isinstance(raw, list):
-        raise MalformedInputError("tiles: expected a list")
+    obj = document(obj)
+    colors = require(obj, "colors", is_strings, "a list of strings")
     tiles = []
-    for i, entry in enumerate(raw):
+    for i, entry in enumerate(require(obj, "tiles", lambda v: isinstance(v, list), "a list")):
         if not isinstance(entry, dict) or not all(isinstance(entry.get(k), str) for k in "wnes"):
             raise MalformedInputError(f"tiles[{i}]: expected an object with string w/n/e/s")
         tiles.append(TileType(entry["w"], entry["n"], entry["e"], entry["s"]))
-    for key in ("white", "blank", "accept"):
-        value = obj.get(key)
-        if value is not None and not isinstance(value, str):
-            raise MalformedInputError(f"{key}: expected a string or null")
     return TileSet(
         tiles=tuple(tiles),
         colors=frozenset(colors),
-        white=obj.get("white"),
-        blank=obj.get("blank"),
-        accept=obj.get("accept"),
+        white=require(obj, "white", _string_or_null, "a string or null"),
+        blank=require(obj, "blank", _string_or_null, "a string or null"),
+        accept=require(obj, "accept", _string_or_null, "a string or null"),
     )
 
 
@@ -396,18 +391,10 @@ def tiling_instance_to_json(instance: TilingInstance) -> dict:
 
 def tiling_instance_from_json(obj: object) -> TilingInstance:
     tile_set = tile_set_from_json(obj)
-    variant = obj.get("variant")
-    if not isinstance(variant, str) or variant not in SIDES:
-        raise MalformedInputError("variant: expected 'bounded' or 'corridor'")
-    width = obj.get("width")
-    if not isinstance(width, int) or isinstance(width, bool):
-        raise MalformedInputError("width: expected an integer")
+    variant = require(obj, "variant", lambda v: isinstance(v, str) and v in SIDES, "'bounded' or 'corridor'")
+    width = require(obj, "width", is_int, "an integer")
     colorings = {}
     for name in SIDES["bounded"]:
-        value = obj.get(name)
-        if value is not None and (
-            not isinstance(value, list) or not all(isinstance(c, str) for c in value)
-        ):
-            raise MalformedInputError(f"{name}: expected a list of strings or null")
+        value = require(obj, name, lambda v: v is None or is_strings(v), "a list of strings or null")
         colorings[name] = None if value is None else tuple(value)
     return TilingInstance(variant, tile_set, width, **colorings)

@@ -516,6 +516,39 @@ def test_automaton_loader_rejects_boolean_states(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the file edge: unreadable input and unwritable output are malformed input
+
+
+@pytest.mark.parametrize("content, cause", [
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b"[" * 100_000, "maximum recursion depth exceeded while decoding a JSON array"),
+    (b"1" * 5001, "Exceeds the limit (4300 digits) for integer string conversion"),
+], ids=["not-utf-8", "deep-nesting", "long-integer"])
+def test_an_undecodable_file_is_malformed_input(capsys, tmp_path, content, cause):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    code, doc = run(capsys, "solve", "bpcp", "--in", str(path))
+    assert code == 2 and doc["error"].startswith(f"in: {path} is not JSON: {cause}")
+
+
+def test_reduce_into_a_missing_directory_is_malformed_input(capsys, files, tmp_path):
+    out = tmp_path / "missing" / "lang.json"
+    code, doc = run(capsys, "reduce", "pcp-to-bpcp", "--in", files["classic"], "--out", str(out))
+    assert (code, doc) == (2, {"error": f"out: cannot write {out}: No such file or directory"})
+
+
+def test_solve_bpcp_stops_once_no_index_sequence_is_consistent(tmp_path):
+    # every index sequence dies at length 2, so a bound of 10**20 ends at once;
+    # in a subprocess, so a search that keeps deepening fails at the timeout
+    path = tmp_path / "dead.json"
+    path.write_text(json.dumps({"alphabet": ["0", "1"], "a": ["1", "10"], "b": ["10", "0"], "k": 10**20}))
+    src = str(Path(regint.__file__).parents[1])  # the package under test
+    proc = subprocess.run([sys.executable, "-m", "regint.cli", "solve", "bpcp", "--in", str(path)],
+                          capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, json.loads(proc.stdout)) == (1, "none")
+
+
+# ---------------------------------------------------------------------------
 # the output contract on arbitrary invocations and documents
 
 FIELDS = ("kind", "alphabet", "states", "start", "finals", "transitions", "from", "on", "to",
@@ -713,6 +746,8 @@ MALFORMED = [
     ("automaton", DFA, "transitions.0", 5, "transitions[0]: expected an object"),
     ("automaton", DFA, "transitions.0.on", DELETE, "transitions[0].on: missing"),
     ("automaton", DFA, "transitions.0.to", True, "transitions[0]: 'from' and 'to' must be integers"),
+    ("automaton", edited(DFA, "transitions.0.to", True), "transitions.1.on", DELETE,
+     "transitions[0]: 'from' and 'to' must be integers"),
     ("automaton", DFA, "transitions.0.on", "ab", "transitions[0].on: expected a single character or null"),
     ("automaton", DFA, "transitions.0.on", None, "transitions[0].on: silent moves are not allowed in a dfa"),
     ("automaton", DFA, "transitions.1.on", "_", "transitions[1]: duplicate move for state 0 on '_'"),
@@ -734,6 +769,7 @@ MALFORMED = [
     ("tm", TM, "delta.0", [], "delta[0]: expected an object"),
     ("tm", TM, "delta.0.move", DELETE, "delta[0].move: missing"),
     ("tm", TM, "delta.0.from", "x", "delta[0].from: expected an integer"),
+    ("tm", edited(TM, "delta.0.from", "x"), "delta.1", [], "delta[0].from: expected an integer"),
     ("tm", TM, "delta.0.write", 1, "delta[0].write: expected a string"),
     ("tm", TM, "states", 0, "states: need at least one state"),
     ("tm", TM, "tape", ["_", "0", "1", "1"], "tape: duplicate symbols"),
