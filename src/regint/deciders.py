@@ -8,7 +8,8 @@ decider's docstring gives its method.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from math import gcd
+from typing import Iterable, Iterator, Optional
 
 from .automata import Dfa, Nfa, _bits, _reach, erase_letters, image, intersect_dfa
 from .errors import AlphabetError
@@ -33,6 +34,18 @@ def decide_intreg_unary_shuffled(a: Dfa, unary_symbol: str, pad_symbol: str) -> 
     cutting out the loops u_k..u_k' (+(k'-k)) and d_k'..d_k (-(k'-k))
     leaves a shorter path.  The trough is alike.  The order is needed: an
     (a_)^p start loop, __a_ exit and (_a)^(p-1) final loop peak at (p-1)².
+
+    An exact residue check runs first.  Every state on an accepting path
+    is useful, so only useful states matter.  Give each one a potential
+    φ(q), the counter along a breadth-first path of pair steps from the
+    start, and let g be the gcd, over the pair steps p -> r between
+    useful states with shift s, of φ(p) + s - φ(r).  Each such step keeps
+    counter - φ ≡ 0 (mod g), so by induction every path from the start
+    to q ends at a counter ≡ φ(q) (mod g).  Hence if no useful final f
+    has φ(f) ≡ 0 (mod g), no path ends final at 0 and the answer is no.
+    If g = 0, every path to q ends at exactly φ(q), and the breadth-first
+    path does reach f at φ(f), so the answer is yes iff some useful final
+    f has φ(f) = 0.  Otherwise the counter search decides.
     """
     for name, sym in (("unary", unary_symbol), ("pad", pad_symbol)):
         if len(sym) != 1:
@@ -51,6 +64,23 @@ def decide_intreg_unary_shuffled(a: Dfa, unary_symbol: str, pad_symbol: str) -> 
     t = Nfa(a.states, frozenset((0, 1, -1)), steps, a.start, a.finals).tables
     succ = [t.moves[0][q] | t.moves[1][q] | t.moves[-1][q] for q in range(a.states)]
     useful = _reach(t.start, succ) & _reach(t.finals, t.pred)
+    # the residue check: potentials along breadth-first paths, and the
+    # gcd of every useful pair step's deviation from them
+    phi = {a.start: 0}
+    queue = [a.start]
+    g = 0
+    for q in queue:  # grows while it is read
+        for shift in (0, 1, -1):
+            for r in _bits(t.moves[shift][q] & useful):
+                if r not in phi:
+                    phi[r] = phi[q] + shift
+                    queue.append(r)
+                g = gcd(g, phi[q] + shift - phi[r])
+    ends = [phi[f] for f in a.finals if f in phi]
+    if g == 0:
+        return 0 in ends
+    if all(end % g for end in ends):
+        return False
     cap = useful.bit_count() ** 2
     zero = 1 << cap
     full = (zero << cap + 1) - 1
@@ -96,35 +126,49 @@ def _add_new(seen: dict[int, int], nodes: dict[int, int]) -> dict[int, int]:
     return fresh
 
 
-def _least_word(start, labels, step, found) -> Optional[str]:
-    """The least shortest word w for which `found` holds, or None.
+def _groups(start, labels, step, links: list) -> Iterator[tuple[int, dict[int, int]]]:
+    """The groups of a least-word search, as (group, node set) in word order.
 
     A node set maps a key to a state bitmask.  `start` is the node set
-    the empty word reaches and `step(nodes, label)` the set one label
-    further.  Each layer lists (group, node set) pairs in word order,
-    and a node joins the group of the first word that reaches it, so
-    every node sits in the group of its least shortest word and `found`
-    is asked of each group in that order.  A group keeps only its
-    (parent group, label) link; the word is spelled once, at the end.
+    the empty word reaches, group 0, and `step(nodes, label)` the set
+    one label further.  Each layer lists its groups in word order, and a
+    node joins the group of the first word that reaches it, so every
+    node sits in exactly one group: that of its least shortest word.  A
+    group keeps only its (parent group, label) link, appended to the
+    empty list `links` as the group is made; `_spell` reads a word back
+    from them.
     """
     seen = dict(start)
-    links = [(0, "")]
+    links.append((0, ""))
     layer = [(0, start)]
     while layer:
         nxt = []
         for g, nodes in layer:
-            if found(nodes):
-                word = []
-                while g:
-                    g, label = links[g]
-                    word.append(label)
-                return "".join(reversed(word))
+            yield g, nodes
             for label in labels:
                 fresh = _add_new(seen, step(nodes, label))
                 if fresh:
                     nxt.append((len(links), fresh))
                     links.append((g, label))
         layer = nxt
+
+
+def _spell(links: list, g: int) -> str:
+    """The word of group `g`, read back along its links to group 0."""
+    word = []
+    while g:
+        g, label = links[g]
+        word.append(label)
+    return "".join(reversed(word))
+
+
+def _least_word(start, labels, step, found) -> Optional[str]:
+    """The least shortest word w for which `found` holds, or None:
+    `found` is asked of each group's node set in word order."""
+    links: list = []
+    for g, nodes in _groups(start, labels, step, links):
+        if found(nodes):
+            return _spell(links, g)
     return None
 
 
@@ -142,7 +186,10 @@ def decide_intreg_sequential_string_eq(
     first fitting (q, qf) in P's state order, v the least of the
     shortest common erased words, and u and u' the least shortest words
     of P, pads reinserted, whose erasure is v and which lead from the
-    start to q and from q' to qf.
+    start to q and from q' to qf.  The pair search runs in least-word
+    groups, so it also notes the group that holds each fitting pair, and
+    v is spelled from that group's links with no second search; the two
+    pad lifts run the same group search.
     """
     sigma = frozenset(alphabet)
     for sym in sigma | {pad_symbol}:
@@ -166,44 +213,60 @@ def decide_intreg_sequential_string_eq(
                  if t.closures[product.delta[(q, SEPARATOR)]] & co_reach)
     xs = _reach(splits, t.pred)
 
-    def pair_step(pairs: dict[int, int], syms: Iterable[str]) -> dict[int, int]:
-        """Pairs (x, y) as {x: y-bitmask}, one common letter of `syms`
+    images: dict[tuple[str, int], int] = {}
+
+    def pair_step(pairs: dict[int, int], sym: str) -> dict[int, int]:
+        """Pairs (x, y) as {x: y-bitmask}, one common letter `sym`
         further; x must still reach a split point and y a final."""
+        row = t.moves[sym]
+        by_image: dict[int, int] = {}  # the x sides of each y-image
+        for x, ys in pairs.items():
+            key = (sym, ys)
+            if key not in images:
+                images[key] = image(ys, row) & co_reach
+            ys = images[key]
+            if ys:
+                by_image[ys] = by_image.get(ys, 0) | 1 << x
         out: dict[int, int] = {}
-        for sym in syms:
-            row = t.moves[sym]
-            for x, ys in pairs.items():
-                ys = image(ys, row) & co_reach
-                if ys:
-                    for x2 in _bits(row[x] & xs):
-                        out[x2] = out.get(x2, 0) | ys
+        for ys, x_mask in by_image.items():
+            for x2 in _bits(image(x_mask, row) & xs):
+                out[x2] = out.get(x2, 0) | ys
         return out
 
-    def start_pairs(qp: int) -> dict[int, int]:
-        return {x: t.closures[qp] & co_reach for x in _bits(t.start & xs)}
-
-    # every pair the two sides reach on a common erased word, per q'
-    reached: dict[int, dict[int, int]] = {}
-
-    def pairs_from(qp: int) -> dict[int, int]:
-        if qp not in reached:
-            seen = start_pairs(qp)
-            todo = dict(seen)
-            while todo:
-                todo = _add_new(seen, pair_step(todo, t.symbols))
-            reached[qp] = seen
-        return reached[qp]
-
+    # the split points whose separator successor is q', per q'
+    targets: dict[int, int] = {}
     for q in _bits(splits):
         qp = product.delta[(q, SEPARATOR)]
-        ends = pairs_from(qp).get(q, 0) & t.finals
-        if ends:
+        targets[qp] = targets.get(qp, 0) | 1 << q
+    # per q', the group of each fitting (q, qf), and the links that spell
+    # those groups when there is one
+    explored: dict[int, tuple[dict[int, dict[int, int]], list]] = {}
+
+    def explore(qp: int) -> tuple[dict[int, dict[int, int]], list]:
+        """One search over the pairs the two sides reach on a common
+        erased word from (start, q'), in least-word groups."""
+        if qp not in explored:
+            start = {x: t.closures[qp] & co_reach for x in _bits(t.start & xs)}
+            mine = targets[qp]
+            fits: dict[int, dict[int, int]] = {}
+            links: list = []
+            for g, pairs in _groups(start, t.symbols, pair_step, links):
+                for q, ys in pairs.items():
+                    if mine >> q & 1:
+                        for y in _bits(ys & t.finals):
+                            fits.setdefault(q, {})[y] = g
+            explored[qp] = (fits, links if fits else [])
+        return explored[qp]
+
+    for q in _bits(splits):
+        fits, links = explore(product.delta[(q, SEPARATOR)])
+        if q in fits:
             break
     else:
         return False, None
-    qf = next(_bits(ends))
-    v = _least_word(start_pairs(qp), t.symbols, pair_step,
-                    lambda pairs: pairs.get(q, 0) >> qf & 1)
+    qp = product.delta[(q, SEPARATOR)]
+    qf = min(fits[q])
+    v = _spell(links, fits[q][qf])
     moves = product.tables.moves
 
     def lift_step(nodes: dict[int, int], sym: str) -> dict[int, int]:

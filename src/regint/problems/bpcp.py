@@ -53,11 +53,17 @@ def check_bpcp(instance: PcpInstance, k: int) -> Optional[BpcpSolution]:
     Depth-first over the prefix-consistency tree: a partial index
     sequence survives only while one concatenation is a prefix of the
     other, and is kept as the (top, bottom) rests after their common
-    prefix, one of them empty.  Iterative deepening makes the order
-    length-then-lex.  Every consistent sequence extends a consistent
-    shorter one, so the search stops at the first length with none.
+    prefix, one of them empty.  A sequence is also dropped when its
+    non-empty rest can never be made up: a bottom rest when no pair has
+    |aᵢ| > |bᵢ|, since every pair then keeps the bottom at least as far
+    ahead, and a top rest when none has |bᵢ| > |aᵢ|.  Iterative deepening
+    makes the order length-then-lex.  Every prefix of a solution survives
+    both tests, so the search stops at the first length where nothing
+    survives.
     """
     pairs = list(zip(instance.list_a, instance.list_b))
+    top_gains = any(len(a) > len(b) for a, b in pairs)
+    bottom_gains = any(len(b) > len(a) for a, b in pairs)
     for depth in range(1, k + 1):
         # (top rest, bottom rest, untried indices) before each chosen position:
         # an explicit stack, so a large k cannot exhaust the recursion limit
@@ -77,6 +83,8 @@ def check_bpcp(instance: PcpInstance, k: int) -> Optional[BpcpSolution]:
             elif bottom.startswith(top):
                 top, bottom = "", bottom[len(top):]
             else:
+                continue
+            if bottom and not top_gains or top and not bottom_gains:
                 continue
             indices[len(stack) - 1] = i + 1
             if len(stack) < depth:

@@ -12,12 +12,14 @@ import heapq
 import itertools
 from collections import deque
 
-from regint.automata import Dfa
+from regint.automata import Dfa, Nfa, _bits, _reach, erase_letters, image, intersect_dfa
+from regint.deciders import _add_new, _least_word, _shape_dfa
 from regint.errors import MalformedWordError, ResourceLimitError
 from regint.pda import Pda
 from regint.problems import PcpInstance, TmSpec, decode_tm, interleave, pad_to_common
 from regint.problems.tiling import Tiling, TilingInstance, validate_tiling
 from regint.reductions import WHITE, normalize_tm, reduce_ntm_to_tiles
+from regint.symbols import SEPARATOR
 
 # ---------------------------------------------------------------------------
 # DFA builders
@@ -140,6 +142,64 @@ def counter_pda(unary_symbol, pad_symbol):
         start=0,
         finals=frozenset({0}),
     )
+
+
+def sequential_by_two_searches(dfa, sigma, pad):
+    """The sequential decider's (verdict, witness), found the older way:
+    each q' saturates its state pairs frontier by frontier, with no word
+    order, and once (q, qf) fits, a second, early-stopping least-word
+    search over the same pairs spells v.  Only the decider's building
+    blocks are shared, so the single group search can be compared with
+    it witness for witness."""
+    product = intersect_dfa(dfa, _shape_dfa(dfa.alphabet, frozenset(sigma) | {pad}))
+    steps = frozenset((src, sym, dst) for (src, sym), dst in product.delta.items() if sym != SEPARATOR)
+    base = Nfa(product.states, product.alphabet - {SEPARATOR}, steps, product.start, product.finals)
+    t = erase_letters(base, {pad}).tables
+    co_reach = _reach(t.finals, t.pred)
+    splits = sum(1 << q for q in range(product.states)
+                 if t.closures[product.delta[(q, SEPARATOR)]] & co_reach)
+    xs = _reach(splits, t.pred)
+
+    def pair_step(pairs, syms):
+        out = {}
+        for sym in syms:
+            row = t.moves[sym]
+            for x, ys in pairs.items():
+                ys = image(ys, row) & co_reach
+                if ys:
+                    for x2 in _bits(row[x] & xs):
+                        out[x2] = out.get(x2, 0) | ys
+        return out
+
+    def start_pairs(qp):
+        return {x: t.closures[qp] & co_reach for x in _bits(t.start & xs)}
+
+    for q in _bits(splits):
+        qp = product.delta[(q, SEPARATOR)]
+        seen = start_pairs(qp)
+        todo = dict(seen)
+        while todo:
+            todo = _add_new(seen, pair_step(todo, t.symbols))
+        ends = seen.get(q, 0) & t.finals
+        if ends:
+            break
+    else:
+        return False, None
+    qf = next(_bits(ends))
+    v = _least_word(start_pairs(qp), t.symbols, pair_step, lambda pairs: pairs.get(q, 0) >> qf & 1)
+    moves = product.tables.moves
+
+    def lift_step(nodes, sym):
+        if sym == pad:
+            return {pos: image(states, moves[sym]) for pos, states in nodes.items()}
+        return {pos + 1: image(states, moves[sym])
+                for pos, states in nodes.items() if pos < len(v) and v[pos] == sym}
+
+    def lift(source, goal):
+        return _least_word({0: 1 << source}, sorted(set(v) | {pad}), lift_step,
+                           lambda nodes: nodes.get(len(v), 0) >> goal & 1)
+
+    return True, lift(product.start, q) + SEPARATOR + lift(qp, qf)
 
 
 # ---------------------------------------------------------------------------

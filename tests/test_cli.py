@@ -548,6 +548,17 @@ def test_solve_bpcp_stops_once_no_index_sequence_is_consistent(tmp_path):
     assert (proc.returncode, json.loads(proc.stdout)) == (1, "none")
 
 
+def test_solve_bpcp_drops_a_rest_no_pair_can_make_up(tmp_path):
+    # the bottom runs one letter further ahead at every length and no pair
+    # has a longer top, so every sequence is consistent yet none can end
+    path = tmp_path / "behind.json"
+    path.write_text(json.dumps({"alphabet": ["a"], "a": ["a"], "b": ["aa"], "k": 10**20}))
+    src = str(Path(regint.__file__).parents[1])  # the package under test
+    proc = subprocess.run([sys.executable, "-m", "regint.cli", "solve", "bpcp", "--in", str(path)],
+                          capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, json.loads(proc.stdout)) == (1, "none")
+
+
 # ---------------------------------------------------------------------------
 # the output contract on arbitrary invocations and documents
 

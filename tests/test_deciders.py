@@ -14,14 +14,21 @@ import time
 
 import pytest
 
-from regint.automata import Dfa, Nfa, accepts, determinize, dfa_to_nfa
+from regint.automata import Dfa, Nfa, accepts, determinize, dfa_to_nfa, intersect_dfa
 from regint.deciders import decide_intreg_sequential_string_eq, decide_intreg_unary_shuffled
 from regint.errors import AlphabetError
 from regint.pda import pda_intersect_dfa, pda_is_empty
 from regint.problems import member_sequential_string_eq, member_shuffled_string_eq
 from regint.search import enumerate_words
 
-from helpers import chain_dfa, counter_pda, random_dfa, seq_shortest_member, unary_shortest_member
+from helpers import (
+    chain_dfa,
+    counter_pda,
+    random_dfa,
+    seq_shortest_member,
+    sequential_by_two_searches,
+    unary_shortest_member,
+)
 
 AB = frozenset("ab_$")
 A_ = frozenset("a_")
@@ -297,3 +304,106 @@ def test_sequential_witnesses_are_pinned():
         digest.update(repr(result).encode())
     assert verdicts == 379
     assert digest.hexdigest() == WITNESS_DIGEST
+
+
+def test_sequential_single_search_matches_two_searches():
+    # the pair search that also spells v gives the same witness as the
+    # older saturate-then-search route, on every WITNESS_CASES alphabet
+    rng = random.Random(9090)
+    verdicts = 0
+    for i in range(4 * 500):
+        alphabet, sigma = WITNESS_CASES[i % len(WITNESS_CASES)]
+        d = random_dfa(rng, alphabet, max_states=20, final_share=rng.choice((0.1, 0.3)))
+        result = decide_intreg_sequential_string_eq(d, sigma, "_")
+        assert result == sequential_by_two_searches(d, sigma, "_"), i
+        verdicts += result[0]
+    assert 0 < verdicts < 2000
+
+
+# ---------------------------------------------------------------------------
+# The unary residue check
+
+
+def gap_unary_dfa(p):
+    """An (a_)^p loop at the start, a __ step into an (a_)^(p+1) loop,
+    and a _a exit to the final state, plus a dead state: 4p + 6 states.
+    The counters at the final are p·i + (p+1)·j - 1 for i, j >= 0, never
+    0 once p >= 2, yet the loops' gcd is 1, so the residue check passes
+    and the counter search must decide."""
+    n = 4 * p + 6
+    dead = n - 1
+    delta = {(s, sym): dead for s in range(n) for sym in A_}
+    for i in range(p):
+        delta[(2 * i, "a")] = 2 * i + 1
+        delta[(2 * i + 1, "_")] = (2 * i + 2) % (2 * p)
+    step = 2 * p
+    middle = step + 1
+    delta[(0, "_")] = step
+    delta[(step, "_")] = middle
+    for j in range(p + 1):
+        delta[(middle + 2 * j, "a")] = middle + 2 * j + 1
+        delta[(middle + 2 * j + 1, "_")] = middle + (2 * j + 2) % (2 * (p + 1))
+    exit_ = middle + 2 * (p + 1)
+    delta[(middle, "_")] = exit_
+    delta[(exit_, "a")] = exit_ + 1
+    return Dfa(n, A_, delta, 0, frozenset({exit_ + 1}))
+
+
+def test_unary_decider_on_the_gap_family():
+    for p in range(2, 16):
+        d = gap_unary_dfa(p)
+        for i, j in ((1, 0), (0, 1), (2, 3)):
+            word = "a_" * (p * i) + "__" + "a_" * ((p + 1) * j) + "_a"
+            assert accepts(d, word) and not member_shuffled_string_eq(word, frozenset("a"), "_"), p
+        assert decide_intreg_unary_shuffled(d, "a", "_") is False, p
+    for p in (2, 3):
+        assert grammar_route(gap_unary_dfa(p)) is False, p
+
+
+def neutral_unary_dfa(exit_pair):
+    """a_ (aa|__)* then `exit_pair` to the final state: every cycle of
+    pair steps is counter-neutral, so g = 0 and each state has one
+    counter."""
+    delta = {(s, sym): 6 for s in range(7) for sym in A_}
+    delta.update({(0, "a"): 1, (1, "_"): 2, (2, "a"): 3, (3, "a"): 2, (2, "_"): 4, (4, "_"): 2})
+    if exit_pair == "_a":
+        delta[(4, "a")] = 5
+    else:
+        delta[(3, "_")] = 5
+    return Dfa(7, A_, delta, 0, frozenset({5}))
+
+
+def test_unary_residue_check_alone_decides_when_g_is_zero(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the counter search ran")
+
+    for exit_pair, want in (("_a", True), ("a_", False)):
+        d = neutral_unary_dfa(exit_pair)
+        shortest = unary_shortest_member(d, "a", "_", 2 * d.states ** 2)
+        assert (shortest is not None) is want and shortest in (4, None)
+        with monkeypatch.context() as m:
+            m.setattr("regint.deciders._add_new", no_search)
+            assert decide_intreg_unary_shuffled(d, "a", "_") is want
+
+
+def odd_a_product(d):
+    """L(d) intersected with the words holding an odd number of a's, none
+    of which interleaves two equal unary words."""
+    odd_a = Dfa(2, A_, {(0, "a"): 1, (1, "a"): 0, (0, "_"): 0, (1, "_"): 1}, 0, frozenset({1}))
+    return intersect_dfa(d, odd_a)
+
+
+def test_unary_residue_check_answers_large_odd_a_products():
+    # the counter search took seconds on each of these (about K^5 bit
+    # operations for K useful states); the residue check (g = 2) answers
+    rng = random.Random(1)
+    products = []
+    while len(products) < 6:
+        prod = odd_a_product(random_dfa(rng, "a_", max_states=70, min_states=50))
+        if prod.states >= 100 and prod.finals:
+            products.append(prod)
+    start = time.perf_counter()
+    for prod in products:
+        assert decide_intreg_unary_shuffled(prod, "a", "_") is False
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, elapsed
