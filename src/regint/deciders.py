@@ -35,17 +35,19 @@ def decide_intreg_unary_shuffled(a: Dfa, unary_symbol: str, pad_symbol: str) -> 
     leaves a shorter path.  The trough is alike.  The order is needed: an
     (a_)^p start loop, __a_ exit and (_a)^(p-1) final loop peak at (p-1)².
 
-    An exact residue check runs first.  Every state on an accepting path
-    is useful, so only useful states matter.  Give each one a potential
-    φ(q), the counter along a breadth-first path of pair steps from the
-    start, and let g be the gcd, over the pair steps p -> r between
-    useful states with shift s, of φ(p) + s - φ(r).  Each such step keeps
-    counter - φ ≡ 0 (mod g), so by induction every path from the start
-    to q ends at a counter ≡ φ(q) (mod g).  Hence if no useful final f
-    has φ(f) ≡ 0 (mod g), no path ends final at 0 and the answer is no.
-    If g = 0, every path to q ends at exactly φ(q), and the breadth-first
-    path does reach f at φ(f), so the answer is yes iff some useful final
-    f has φ(f) = 0.  Otherwise the counter search decides.
+    An exact residue check runs first.  Only useful states lie on an
+    accepting path, and a breadth-first walk of pair steps from the start
+    through co-reaching states visits exactly them (a state that steps
+    to a co-reaching one co-reaches), so K is the number it visits.  Let
+    φ(q) be the counter along q's walk path and g the gcd, over the pair
+    steps p -> r between useful states with shift s, of φ(p) + s - φ(r).
+    Each such step keeps counter - φ ≡ 0 (mod g), so by induction every
+    path from the start to q ends at a counter ≡ φ(q) (mod g).  Hence if
+    no useful final f has φ(f) ≡ 0 (mod g), no path ends final at 0 and
+    the answer is no.  If g = 0, every path to q ends at exactly φ(q),
+    and the walk reaches f at φ(f), so the answer is yes iff some useful
+    final f has φ(f) = 0.  Otherwise the counter search decides, masked
+    to co-reaching states: it holds only states reached from the start.
     """
     for name, sym in (("unary", unary_symbol), ("pad", pad_symbol)):
         if len(sym) != 1:
@@ -62,16 +64,14 @@ def decide_intreg_unary_shuffled(a: Dfa, unary_symbol: str, pad_symbol: str) -> 
     steps = frozenset((q, shift, delta[(delta[(q, x)], y)]) for q in range(a.states)
                       for x, y, shift in ((u, u, 0), (p, p, 0), (u, p, 1), (p, u, -1)))
     t = Nfa(a.states, frozenset((0, 1, -1)), steps, a.start, a.finals).tables
-    succ = [t.moves[0][q] | t.moves[1][q] | t.moves[-1][q] for q in range(a.states)]
-    useful = _reach(t.start, succ) & _reach(t.finals, t.pred)
-    # the residue check: potentials along breadth-first paths, and the
-    # gcd of every useful pair step's deviation from them
+    co_reach = _reach(t.finals, t.pred)
+    # the residue check: potentials of the useful states, and the gcd of the steps' deviations
     phi = {a.start: 0}
     queue = [a.start]
     g = 0
     for q in queue:  # grows while it is read
         for shift in (0, 1, -1):
-            for r in _bits(t.moves[shift][q] & useful):
+            for r in _bits(t.moves[shift][q] & co_reach):
                 if r not in phi:
                     phi[r] = phi[q] + shift
                     queue.append(r)
@@ -81,7 +81,7 @@ def decide_intreg_unary_shuffled(a: Dfa, unary_symbol: str, pad_symbol: str) -> 
         return 0 in ends
     if all(end % g for end in ends):
         return False
-    cap = useful.bit_count() ** 2
+    cap = len(phi) ** 2  # K²: phi labels every useful state
     zero = 1 << cap
     full = (zero << cap + 1) - 1
     seen = {a.start: zero}
@@ -92,7 +92,7 @@ def decide_intreg_unary_shuffled(a: Dfa, unary_symbol: str, pad_symbol: str) -> 
         out: dict[int, int] = {}
         for q, mask in todo.items():
             for shift, moved in ((0, mask), (1, mask << 1 & full), (-1, mask >> 1)):
-                for r in _bits(t.moves[shift][q] & useful):
+                for r in _bits(t.moves[shift][q] & co_reach):
                     out[r] = out.get(r, 0) | moved
         todo = _add_new(seen, out)
     return False

@@ -38,6 +38,9 @@ TmTransition = tuple[int, str, int, str, str]
 _UNREAD, _PAST = "\0", "\1"
 _FIRST_CODE = 2
 
+_MAX_CONFIGS = 200_000  # configurations a run may visit before the checker gives up
+_MAX_CELLS = 2**24  # tape cells those configurations may hold between them
+
 
 class _Coding(NamedTuple):
     """A machine on coded tapes: `codes` translates an input string, and
@@ -231,12 +234,12 @@ def parse_machine_word(word: str) -> MachineWord:
     return MachineWord(word.partition("$")[0], x, n, tm)
 
 
-def member_machine_language(word: str, mode: str, max_configs: int = 200_000) -> bool:
+def member_machine_language(word: str, mode: str) -> bool:
     """Does the word's machine accept its input within the mode's budget?
 
     Malformed words are non-members.  When the configuration space
-    exceeds max_configs the checker raises ResourceLimitError instead
-    of answering.
+    exceeds `_MAX_CONFIGS`, or its tapes `_MAX_CELLS` cells, the checker
+    raises ResourceLimitError instead of answering.
     """
     if mode not in ("NL", "NP", "PSPACE"):
         raise ValueError(f"mode must be NL, NP or PSPACE, got {mode!r}")
@@ -254,23 +257,21 @@ def member_machine_language(word: str, mode: str, max_configs: int = 200_000) ->
     if mode == "NP":
         width = max(len(x), n + 1)  # the head cannot pass cell n+1 in n steps
         tape = (x + blank * width)[:width]
-        return _accepts(tm, tape, tape, n, max_configs, mode)
+        return _accepts(tm, tape, tape, n, mode)
     if mode == "PSPACE":
         # the head stays on the first n cells, and the cells past them keep
         # their initial content, so the tape holds only those n
         tape = (x + blank * n)[:n]
-        return _accepts(tm, tape, tape, None, max_configs, mode)
+        return _accepts(tm, tape, tape, None, mode)
     # Reads start at cell 1, so the cells read so far are always an
     # interval [1, k]: _UNREAD marks the cells past it, and the one cell
     # past the budget of floor(log2 n) reads has no symbol to read.
     cells = n.bit_length() - 1
     fresh = (x + blank * cells)[:cells] + _PAST
-    return _accepts(tm, _UNREAD * (cells + 1), fresh, None, max_configs, mode)
+    return _accepts(tm, _UNREAD * (cells + 1), fresh, None, mode)
 
 
-def _accepts(
-    tm: TmSpec, tape0: str, fresh: str, steps: int | None, max_configs: int, mode: str
-) -> bool:
+def _accepts(tm: TmSpec, tape0: str, fresh: str, steps: int | None, mode: str) -> bool:
     """Layered breadth-first search over configurations (state, head,
     tape) from (start, 0, tape0) for a run into the accept state within
     `steps` steps (None: no step bound).  The tape is a string of the
@@ -285,6 +286,7 @@ def _accepts(
     """
     coding = tm._coding
     rows, accept, last = coding.rows, tm.accept, len(tape0) - 1
+    cap = min(_MAX_CONFIGS, _MAX_CELLS // len(tape0))
     frontier = [(tm.start, 0, tape0)]
     seen = set(frontier)
     depth = 0
@@ -305,7 +307,7 @@ def _accepts(
                 if cfg not in seen:
                     seen.add(cfg)
                     frontier.append(cfg)
-                    if len(seen) > max_configs:
+                    if len(seen) > cap:
                         raise ResourceLimitError(f"{mode}-mode configuration cap exceeded")
     return False
 

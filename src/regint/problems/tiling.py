@@ -24,6 +24,7 @@ from ..errors import (MalformedInputError, MalformedWordError, ResourceLimitErro
                       require)
 
 _DELIMITERS = set(",;$#")
+_MAX_ROWS = 200_000  # rows the corridor search may explore before it gives up
 
 # the colorings each variant's instances and words carry, in word order;
 # a bounded instance carries all four
@@ -194,9 +195,7 @@ def solve_bounded_tiling(instance: TilingInstance) -> Optional[Tiling]:
     return None
 
 
-def solve_corridor_tiling(
-    instance: TilingInstance, max_nodes: int = 200_000
-) -> Optional[tuple[int, Tiling]]:
+def solve_corridor_tiling(instance: TilingInstance) -> Optional[tuple[int, Tiling]]:
     """Minimal corridor height and a witness tiling, or None.
 
     Breadth-first over rows: a row is any horizontally matching tile
@@ -207,7 +206,7 @@ def solve_corridor_tiling(
     the minimal height.  A level expands its vectors in discovery order,
     each one's rows depth-first over columns in tile index order, and
     the first row to reach a vector is kept.  Raises ResourceLimitError
-    past max_nodes explored rows rather than answering wrongly.
+    past `_MAX_ROWS` explored rows rather than answering wrongly.
     """
     if instance.variant != "corridor":
         raise MalformedInputError("variant: solve_corridor_tiling needs a corridor instance")
@@ -218,7 +217,7 @@ def solve_corridor_tiling(
     for idx, tile in enumerate(tiles):
         by_s.setdefault(tile.s, []).append(idx)
         by_sw.setdefault((tile.s, tile.w), []).append(idx)
-    budget = max_nodes
+    budget = _MAX_ROWS
 
     def rows_over(south: tuple[str, ...]) -> Iterator[tuple[int, ...]]:
         nonlocal budget

@@ -171,23 +171,21 @@ def enumerate_words(automaton: Automaton, max_len: int) -> Iterator[str]:
             continue
         stem = length - share  # letters spelled by the search; tails give the rest
         path = ""  # path[:depth] spells the prefix of the innermost frame
-        depth = 0
         stack = [iter(branches(t.start, fin[length - 1]))]
         while stack:
             for sym, nxt in stack[-1]:  # the next branch of the innermost frame
                 break
             else:
                 stack.pop()
-                depth -= 1
                 continue
+            depth = len(stack) - 1
             if depth + 1 == stem:
                 yield from map((path[:depth] + sym).__add__, tails(nxt, share))
             else:
                 if len(path) > depth:  # cut back what the popped frames spelled
                     path = path[:depth]
                 path += sym
-                depth += 1
-                stack.append(iter(branches(nxt, fin[length - depth - 1])))
+                stack.append(iter(branches(nxt, fin[length - depth - 2])))
 
 
 def find_witness(

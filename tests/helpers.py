@@ -286,6 +286,12 @@ NEVER = TmSpec(states=2, input_alphabet=("0", "1"), tape_alphabet=("_", "0", "1"
                blank="_", start=0, accept=1,
                transitions=frozenset({(0, "0", 0, "0", "R"), (0, "1", 0, "1", "R")}))
 
+# walks right over blanks, guessing a bit for each, and accepts nothing:
+# each layer of its configuration search is twice the one before
+GUESS = TmSpec(states=2, input_alphabet=("0", "1"), tape_alphabet=("_", "0", "1"),
+               blank="_", start=0, accept=1,
+               transitions=frozenset({(0, "_", 0, "0", "R"), (0, "_", 0, "1", "R")}))
+
 
 _SHIFT = {"L": -1, "R": 1, "S": 0}
 

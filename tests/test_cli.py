@@ -23,13 +23,13 @@ from regint.automata import Dfa, Nfa, automaton_from_json, automaton_to_json, pa
 from regint.cli import REDUCTIONS, main
 from regint.errors import MalformedInputError
 from regint.problems import (
-    PROBLEMS, pcp_from_json, pcp_to_json, tile_set_from_json, tiling_instance_from_json, tiling_instance_to_json,
-    tm_from_json, tm_to_json,
+    PROBLEMS, encode_tm, machines, pcp_from_json, pcp_to_json, tile_set_from_json, tiling_instance_from_json,
+    tiling_instance_to_json, tm_from_json, tm_to_json,
 )
 from regint.problems.tiling import TilingInstance
 from regint.reductions import reduce_ntm_to_tiles
 
-from helpers import CLASSIC, M1, M2
+from helpers import CLASSIC, GUESS, M1, M2
 
 M2_ENC = "00100011010010100100110100010010001000"
 # shuffled-regex-eq words past the default recursion limit: tracks a^1100
@@ -203,6 +203,18 @@ def test_check_deep_regex_tracks(capsys):
     assert code == 0 and doc["member"] is True
 
 
+WIDE = "#".join("a" * 18)  # two tiles fit every column: 2**18 rows over the first
+
+
+@pytest.mark.parametrize("word, code, doc", [
+    ("a,a,a,a$a$a", 0, {"problem": "corridor-tiling", "word": "a,a,a,a$a$a", "member": True}),
+    ("a,b,a,a$a$a", 1, {"problem": "corridor-tiling", "word": "a,b,a,a$a$a", "member": False}),
+    (f"a,a,a,a;a,a,a,a${WIDE}${WIDE}", 2, {"error": "resource limit: corridor row cap exceeded"}),
+], ids=["member", "non-member", "past-the-row-cap"])
+def test_check_corridor_tiling(capsys, word, code, doc):
+    assert run(capsys, "check", "--problem", "corridor-tiling", "--word", word) == (code, doc)
+
+
 def test_check_unknown_problem_is_a_usage_error(capsys):
     code, doc = run_fatal(capsys, "check", "--problem", "nope", "--word", "x")
     assert code == 2 and "error" in doc
@@ -247,6 +259,10 @@ def test_decide_input_validation(capsys, files, tmp_path):
     garbage.write_text("not json at all")
     code, doc = run(capsys, "decide", "--problem", "sequential-string-eq", "--dfa", str(garbage))
     assert code == 2 and "JSON" in doc["error"]
+    pads = tmp_path / "pads.json"
+    pads.write_text(json.dumps(automaton_to_json(exact_word_dfa("__", "_"))))
+    code, doc = run(capsys, "decide", "--problem", "unary-shuffled-string-eq", "--dfa", str(pads))
+    assert code == 2 and doc == {"error": "alphabet: need exactly one unary symbol"}
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +406,17 @@ def test_search_exit_codes(capsys, files):
         "--max-len", "10", "--max-words", "1",
     )
     assert code == 3 and doc["outcome"] == "budget-exceeded"
+
+
+def test_search_names_the_word_its_capped_checker_failed_on(capsys, tmp_path, monkeypatch):
+    # unlike check and solve, search reports a checker's cap as the
+    # failure of that word's check, not as "resource limit: ..."
+    word = f"{encode_tm(GUESS)}$$aa"
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps(automaton_to_json(exact_word_dfa(word, "01$a"))))
+    monkeypatch.setattr(machines, "_MAX_CONFIGS", 1)
+    code, doc = run(capsys, "search", "--problem", "machine-pspace", "--automaton", str(path), "--max-len", "99")
+    assert (code, doc) == (2, {"error": f"checker failed on word {word!r}: PSPACE-mode configuration cap exceeded"})
 
 
 def test_search_rejects_a_non_finite_timeout(capsys, files):

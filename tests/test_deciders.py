@@ -100,6 +100,8 @@ def test_sequential_decider_alphabet_errors():
     small = chain_dfa("aa", frozenset("a_"))
     with pytest.raises(AlphabetError):
         decide_intreg_sequential_string_eq(small, "a", "_")  # no '$' in the DFA
+    with pytest.raises(AlphabetError, match="single characters, got 'ab'"):
+        decide_intreg_sequential_string_eq(d, ["ab"], "_")
 
 
 def test_unary_decider_alphabet_errors():

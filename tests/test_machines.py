@@ -3,6 +3,7 @@ modes, checked against runs traced by hand and against the layered
 configuration search of tests/helpers.py."""
 
 import collections
+import json
 import os
 import random
 import subprocess
@@ -22,10 +23,11 @@ from regint.problems import (
     tm_from_json,
     tm_to_json,
 )
+from regint.problems import machines
 from regint.reductions import reduce_tm_to_machine_lang
 from regint.search import enumerate_words
 
-from helpers import ACCEPT_NOW, M1, M2, NEVER, bfs_member_machine_language
+from helpers import ACCEPT_NOW, GUESS, M1, M2, NEVER, bfs_member_machine_language
 
 MACHINES = [M1, M2, ACCEPT_NOW, NEVER]
 
@@ -253,9 +255,25 @@ def test_np_mode_is_monotone_in_n():
         assert verdicts == sorted(verdicts), (tm, x, verdicts)
 
 
-def test_configuration_cap_raises_instead_of_guessing():
+def test_configuration_cap_raises_instead_of_guessing(monkeypatch):
+    monkeypatch.setattr(machines, "_MAX_CONFIGS", 1)
     with pytest.raises(ResourceLimitError):
-        member_machine_language(_word(M2, "01", 8), "NP", max_configs=1)
+        member_machine_language(_word(M2, "01", 8), "NP")
+
+
+def test_configurations_on_a_wide_tape_stay_within_the_cell_cap():
+    # 200,000 configurations of 20,000 cells each would take gigabytes;
+    # the cap on their cells raises first, well inside 1 GiB of address space
+    resource = pytest.importorskip("resource")
+    limit = 2**30
+    src = str(Path(regint.__file__).parents[1])  # the package under test
+    proc = subprocess.run(
+        [sys.executable, "-m", "regint.cli", "check", "--problem", "machine-pspace",
+         "--word", _word(GUESS, "", 20_000)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout) == {"error": "resource limit: PSPACE-mode configuration cap exceeded"}
 
 
 def test_answer_at_the_cap_does_not_depend_on_the_hash_seed():
@@ -264,9 +282,10 @@ def test_answer_at_the_cap_does_not_depend_on_the_hash_seed():
     word = ("000010001101010001001000110101000010001001101001000100010011010001000010010"
             "001100010010100010110001001000100010011000010100100100$$aaaaaaaa")
     script = ("from regint.errors import ResourceLimitError\n"
-              "from regint.problems import member_machine_language\n"
+              "from regint.problems import machines, member_machine_language\n"
+              "machines._MAX_CONFIGS = 3\n"
               "try:\n"
-              f"    print(member_machine_language({word!r}, 'NP', 3))\n"
+              f"    print(member_machine_language({word!r}, 'NP'))\n"
               "except ResourceLimitError:\n"
               "    print('cap')\n")
     src = str(Path(regint.__file__).parents[1])  # the package under test
@@ -297,9 +316,9 @@ def random_tm(rng, states, inputs, deterministic):
                   start=0, accept=accept, transitions=frozenset(transitions))
 
 
-def outcome(checker, word, mode, max_configs):
+def outcome(run):
     try:
-        return checker(word, mode, max_configs)
+        return run()
     except ResourceLimitError:
         return "cap"
 
@@ -318,7 +337,7 @@ def differential_words(rng, tm):
 
 
 @pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "nondeterministic"])
-def test_checker_agrees_with_the_layered_search(deterministic):
+def test_checker_agrees_with_the_layered_search(monkeypatch, deterministic):
     rng = random.Random(16)
     agreed = collections.Counter()
     branching = 0
@@ -333,8 +352,9 @@ def test_checker_agrees_with_the_layered_search(deterministic):
                 if pads not in PADS[mode]:
                     continue
                 for max_configs in (1, 2, 3, 200_000):
-                    want = outcome(bfs_member_machine_language, word, mode, max_configs)
-                    assert outcome(member_machine_language, word, mode, max_configs) == want, (
+                    monkeypatch.setattr(machines, "_MAX_CONFIGS", max_configs)
+                    want = outcome(lambda: bfs_member_machine_language(word, mode, max_configs))
+                    assert outcome(lambda: member_machine_language(word, mode)) == want, (
                         tm, word, mode, max_configs)
                     agreed[want] += 1
     assert set(agreed) == {True, False, "cap"}, agreed

@@ -55,6 +55,9 @@ def test_pda_rejects_labels_outside_the_input_alphabet():
     ({"finals": frozenset({0, 2})}, "finals: state 2 out of range"),
     ({"bottom": "X"}, "bottom: not a stack symbol"),
     ({"start": 1, "bottom": "X"}, "start: state 1 out of range"),  # the automaton checks come first
+    ({"transitions": frozenset({(0, "a", "Z", 1, ())})}, "transitions: state out of range"),
+    ({"transitions": frozenset({(0, "a", "Z", 0, ("Z", "X"))})},
+     "transitions: pushed symbol 'X' not in stack alphabet"),
 ])
 def test_pda_names_its_first_bad_field(fields, message):
     good = {"states": 1, "input_alphabet": frozenset("a"), "stack_alphabet": frozenset("Z"), "bottom": "Z",

@@ -90,6 +90,11 @@ def test_alphabet_may_not_contain_metacharacters():
             parse_regex("a", frozenset({"a", bad}))
 
 
+def test_alphabet_symbols_must_be_single_characters():
+    with pytest.raises(AlphabetError, match="single characters: 'ab'"):
+        parse_regex("a", frozenset({"a", "ab"}))
+
+
 def test_parsed_language_matches_hand_semantics():
     dfa = determinize(regex_to_nfa(parse_regex("(a|b)*abb", AB)))
     assert accepts(dfa, "abb")

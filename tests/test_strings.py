@@ -45,6 +45,7 @@ def test_empty_word_is_a_member():
 
 def test_out_of_alphabet_symbols_are_non_members():
     assert member_shuffled_string_eq("cc", AB, PAD) is False
+    assert member_sequential_string_eq("ac$ac", AB, PAD) is False
 
 
 def test_shuffled_characterization_exhaustive_to_length_5():

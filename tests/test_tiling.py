@@ -189,12 +189,13 @@ def test_corridor_solver_agrees_with_brute_force_on_tiny_instances():
             assert mine is None
 
 
-def test_corridor_node_budget_raises():
+def test_corridor_node_budget_raises(monkeypatch):
     ts = tiles_of(("w", "c", "w", "c"), ("c", "c", "c", "c"), ("w", "c", "c", "c"),
                   ("c", "c", "w", "c"))
     inst = TilingInstance("corridor", ts, 3, None, ("c", "c", "c"), None, ("c", "c", "c"))
+    monkeypatch.setattr(tiling, "_MAX_ROWS", 2)
     with pytest.raises(ResourceLimitError):
-        solve_corridor_tiling(inst, max_nodes=2)
+        solve_corridor_tiling(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -218,25 +219,28 @@ def random_instance(rng):
     return TilingInstance("corridor", ts, n, None, pick(), None, pick())
 
 
-def corridor_outcome(instance, **kwargs):
+def corridor_outcome(instance):
     try:
-        result = solve_corridor_tiling(instance, **kwargs)
+        result = solve_corridor_tiling(instance)
     except ResourceLimitError:
         return "ResourceLimitError"
     return result and (result[0], result[1].grid)
 
 
-def test_solver_outputs_are_pinned():
+def test_solver_outputs_are_pinned(monkeypatch):
     rng = random.Random(8080)
     digest = hashlib.sha256()
     solved = 0
     for _ in range(3000):
         inst = random_instance(rng)
         if inst.variant == "bounded":
-            tiling = solve_bounded_tiling(inst)
-            out = tiling and tiling.grid
+            found = solve_bounded_tiling(inst)
+            out = found and found.grid
         else:
-            out = corridor_outcome(inst, max_nodes=5), corridor_outcome(inst)
+            with monkeypatch.context() as m:
+                m.setattr(tiling, "_MAX_ROWS", 5)
+                capped = corridor_outcome(inst)
+            out = capped, corridor_outcome(inst)
         solved += out is not None and out[-1] is not None
         digest.update(repr(out).encode())
     assert solved == 406
