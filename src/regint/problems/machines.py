@@ -40,6 +40,7 @@ _FIRST_CODE = 2
 
 _MAX_CONFIGS = 200_000  # configurations a run may visit before the checker gives up
 _MAX_CELLS = 2**24  # tape cells those configurations may hold between them
+_MEMO_CAP = 2**13  # finished runs kept before their memo clears, a long key counting as more
 
 
 class _Coding(NamedTuple):
@@ -214,8 +215,9 @@ class MachineWord:
     tm: TmSpec
 
 
-def _parse(word: str) -> tuple[TmSpec, str, int]:
-    """The machine, input and pad count of ⟨M⟩$x$aⁿ, or MalformedWordError."""
+def _parse(word: str) -> tuple[str, TmSpec, str, int]:
+    """The encoding, machine, input and pad count of ⟨M⟩$x$aⁿ, or
+    MalformedWordError."""
     parts = word.split("$")
     if len(parts) != 3:
         raise MalformedWordError("expected exactly two '$' separators")
@@ -226,12 +228,19 @@ def _parse(word: str) -> tuple[TmSpec, str, int]:
         raise MalformedWordError(f"input symbol {bad!r} not in the machine's input alphabet")
     if pads.count("a") != len(pads):
         raise MalformedWordError("padding must be a run of 'a'")
-    return tm, x, len(pads)
+    return encoding, tm, x, len(pads)
 
 
 def parse_machine_word(word: str) -> MachineWord:
-    tm, x, n = _parse(word)
-    return MachineWord(word.partition("$")[0], x, n, tm)
+    encoding, tm, x, n = _parse(word)
+    return MachineWord(encoding, x, n, tm)
+
+
+# The finished runs member_machine_language keeps, and their count as
+# `_MEMO_CAP` counts them.  Each outcome is a pure function of its key,
+# so threads racing on the two can misplace a clear but change no answer.
+_runs: dict[tuple[str, str, str, int, int], bool] = {}
+_held = 0
 
 
 def member_machine_language(word: str, mode: str) -> bool:
@@ -240,53 +249,83 @@ def member_machine_language(word: str, mode: str) -> bool:
     Malformed words are non-members.  When the configuration space
     exceeds `_MAX_CONFIGS`, or its tapes `_MAX_CELLS` cells, the checker
     raises ResourceLimitError instead of answering.
+
+    A run sees only the machine, the mode, the configuration cap and a
+    window of the initial tape: the first n+1 cells in NP mode, the first
+    n in PSPACE mode, and in NL mode the ⌊log₂ n⌋ cells it may read plus
+    the cell past them.  So each finished run's answer is kept, in one
+    memo for all machines, under ⟨M⟩, the mode, the input letters in the
+    window, its width (which with the mode fixes the step bound) and the
+    cap: the words of a machine language repeat one ⟨M⟩ and share few
+    windows.  The NP cut is exact: the head starts on cell 1, moves at
+    most one cell per step, and moves only from a depth of at most n-1,
+    so it never reads, writes or reaches a cell past n+1.  The cap still
+    comes from the uncut width max(|x|, n+1), and the cut configurations
+    match the uncut ones one to one, in the same order, so every answer,
+    and every raise at the cap, is the same.  A raise is never kept.  The
+    memo clears once it holds `_MEMO_CAP` entries, one for an e-bit ⟨M⟩
+    and a w-cell window counted as 1 + (e + w) // 64.
     """
+    global _held
     if mode not in ("NL", "NP", "PSPACE"):
         raise ValueError(f"mode must be NL, NP or PSPACE, got {mode!r}")
+    if mode == "NL" and word.endswith("$"):
+        return False  # no pads (log 0 is undefined) or malformed, whatever the machine
     try:
-        tm, x, n = _parse(word)
+        encoding, tm, x, n = _parse(word)
     except MalformedWordError:
         return False
     if tm.start == tm.accept:
         return n > 0 or mode != "NL"  # accepted in zero steps, but log 0 is undefined
     if n < 1:
         return False  # no step to take, no cell to stand on, or log 0 undefined
-    coding = tm._coding
-    x = x.translate(coding.codes)
-    blank = coding.blank
     if mode == "NP":
-        width = max(len(x), n + 1)  # the head cannot pass cell n+1 in n steps
-        tape = (x + blank * width)[:width]
-        return _accepts(tm, tape, tape, n, mode)
-    if mode == "PSPACE":
-        # the head stays on the first n cells, and the cells past them keep
-        # their initial content, so the tape holds only those n
-        tape = (x + blank * n)[:n]
-        return _accepts(tm, tape, tape, None, mode)
-    # Reads start at cell 1, so the cells read so far are always an
-    # interval [1, k]: _UNREAD marks the cells past it, and the one cell
-    # past the budget of floor(log2 n) reads has no symbol to read.
-    cells = n.bit_length() - 1
-    fresh = (x + blank * cells)[:cells] + _PAST
-    return _accepts(tm, _UNREAD * (cells + 1), fresh, None, mode)
+        cells = n + 1
+        width = max(len(x), cells)  # the uncut tape, whose width sets the cap
+    elif mode == "PSPACE":
+        cells = width = n
+    else:
+        # Reads start at cell 1 and the head moves one cell at a time, so
+        # the cells read so far are always an interval [1, k]: at most
+        # floor(log2 n) of them, then the cell past the budget, which has
+        # no symbol to read.
+        cells = n.bit_length() - 1
+        width = cells + 1
+    cap = min(_MAX_CONFIGS, _MAX_CELLS // width)
+    key = (encoding, mode, x[:cells], cells, cap)
+    accepted = _runs.get(key)
+    if accepted is None:
+        coding = tm._coding
+        window = (x.translate(coding.codes) + coding.blank * cells)[:cells]
+        if mode == "NL":
+            window += _PAST
+        accepted = _accepts(tm, mode, window, n if mode == "NP" else None, cap)
+        if _held >= _MEMO_CAP:
+            _runs.clear()
+            _held = 0
+        _held += 1 + (len(encoding) + cells) // 64
+        _runs[key] = accepted
+    return accepted
 
 
-def _accepts(tm: TmSpec, tape0: str, fresh: str, steps: int | None, mode: str) -> bool:
+def _accepts(tm: TmSpec, mode: str, fresh: str, steps: int | None, cap: int) -> bool:
     """Layered breadth-first search over configurations (state, head,
     tape) from (start, 0, tape0) for a run into the accept state within
-    `steps` steps (None: no step bound).  The tape is a string of the
-    machine's one-character codes; the start state is not the accept
+    `steps` steps (None: no step bound), raising ResourceLimitError once
+    it has seen more than `cap` configurations.  The tape is a string of
+    the machine's one-character codes; the start state is not the accept
     state.
 
-    The head stays on the tape.  An _UNREAD cell has not been read yet
-    (NL mode): it reads as its `fresh` code, and the write that follows
-    every read marks it read.  A position merely parked on is not read.
-    The frontier is a list, so configurations are visited in one fixed
-    order and the cap is hit at the same point on every run.
+    tape0 is `fresh`, except in NL mode, where every cell starts
+    _UNREAD: such a cell reads as its `fresh` code, and the write that
+    follows every read marks it read.  A position merely parked on is
+    not read.  The head stays on the tape.  The frontier is a list, so
+    configurations are visited in one fixed order and the cap is hit at
+    the same point on every run.
     """
+    tape0 = _UNREAD * len(fresh) if mode == "NL" else fresh
     coding = tm._coding
     rows, accept, last = coding.rows, tm.accept, len(tape0) - 1
-    cap = min(_MAX_CONFIGS, _MAX_CELLS // len(tape0))
     frontier = [(tm.start, 0, tape0)]
     seen = set(frontier)
     depth = 0

@@ -54,7 +54,7 @@ class WitnessReport:
 
 _BLOCK = 64  # states per block of the backward chain's memo
 _TAIL = 4  # longest tail: last letters of a word spelled once per state set, shared by its prefixes
-_MEMO_CAP = 2**14  # entries the successor, branch and tail memos hold before they clear
+_MEMO_CAP = 2**14  # entries the successor, branch, tail and block memos hold before they clear
 
 
 def _tail_length(letters: int) -> int:
@@ -90,13 +90,12 @@ def enumerate_words(automaton: Automaton, max_len: int) -> Iterator[str]:
     current depth, so the search holds fewer than L frames and O(L)
     letters besides the tails.
 
-    Memory is O(max_len·|Q|) for `fin`, plus the block memo, plus the
-    successor, branch and tail memos, however large the language or its
-    alphabet.  A tail list holds at most |Σ|^R strings.  The three memos
-    clear together once they hold `_MEMO_CAP` entries, each tail string
-    counted as one; the lists that live frames still walk stay theirs,
-    and each memo is a pure function of its key, so the stream is the
-    same.
+    Memory is O(max_len·|Q|) for `fin`, plus the successor, branch, tail
+    and block memos, however large the language or its alphabet.  A tail
+    list holds at most |Σ|^R strings.  The four memos clear together
+    once they hold `_MEMO_CAP` entries, each tail string counted as one;
+    the lists that live frames still walk stay theirs, and each memo is
+    a pure function of its key, so the stream is the same.
     """
     t = automaton.tables
     share = _tail_length(len(t.symbols))
@@ -110,12 +109,13 @@ def enumerate_words(automaton: Automaton, max_len: int) -> Iterator[str]:
     back: dict[tuple[int, int], int] = {}  # (block, its bits) -> their predecessors
     block_mask = (1 << _BLOCK) - 1
 
-    def keep(memo: dict, key, value: list, size: int = 1) -> list:
+    def keep(memo: dict, key, value, size: int = 1):
         nonlocal held
         if held >= _MEMO_CAP:
             succ.clear()
             viable.clear()
             tail.clear()
+            back.clear()
             held = 0
         held += size
         memo[key] = value
@@ -149,7 +149,7 @@ def enumerate_words(automaton: Automaton, max_len: int) -> Iterator[str]:
             if bits:
                 got = back.get((block, bits))
                 if got is None:
-                    got = back[block, bits] = image(bits << block * _BLOCK, t.pred)
+                    got = keep(back, (block, bits), image(bits << block * _BLOCK, t.pred))
                 out |= got
             states >>= _BLOCK
             block += 1

@@ -25,7 +25,7 @@ from regint.problems import (
 )
 from regint.problems import machines
 from regint.reductions import reduce_tm_to_machine_lang
-from regint.search import enumerate_words
+from regint.search import SearchBudget, enumerate_words, find_witness
 
 from helpers import ACCEPT_NOW, GUESS, M1, M2, NEVER, bfs_member_machine_language
 
@@ -125,6 +125,17 @@ def test_malformed_words_are_non_members_in_every_mode():
 def test_unknown_mode_is_an_error():
     with pytest.raises(ValueError):
         member_machine_language("x", "EXPTIME")
+    with pytest.raises(ValueError):
+        member_machine_language(f"{encode_tm(M2)}$01$", "EXPTIME")
+
+
+def test_nl_words_without_pads_are_answered_before_the_parse(monkeypatch):
+    def unparsed(word):
+        raise AssertionError(f"parsed {word!r}")
+
+    monkeypatch.setattr(machines, "_parse", unparsed)
+    for word in (f"{encode_tm(ACCEPT_NOW)}$0$", f"{encode_tm(M2)}$01$", "0100011$$", "$$", "$", "x$"):
+        assert member_machine_language(word, "NL") is False
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +370,103 @@ def test_checker_agrees_with_the_layered_search(monkeypatch, deterministic):
                     agreed[want] += 1
     assert set(agreed) == {True, False, "cap"}, agreed
     assert bool(branching) != deterministic
+
+
+# ---------------------------------------------------------------------------
+# the memo of runs
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    monkeypatch.setattr(machines, "_runs", {})
+    monkeypatch.setattr(machines, "_held", 0)
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Counts the configuration searches the checker runs."""
+    count = collections.Counter()
+    accepts = machines._accepts
+
+    def counted(tm, mode, *rest):
+        count[mode] += 1
+        return accepts(tm, mode, *rest)
+
+    monkeypatch.setattr(machines, "_accepts", counted)
+    return count
+
+
+def test_warm_memo_agrees_with_the_layered_search_on_whole_languages(monkeypatch, cold_memo):
+    rng = random.Random(22)
+    tms = [NEVER, M2] + [random_tm(rng, rng.randint(2, 4), rng.randint(1, 3), False) for _ in range(6)]
+    agreed = collections.Counter()
+    wide = 0
+    for tm in tms:
+        words = language_words(tm, 7)  # shortlex, with every |x| + n <= 5
+        for word in words + words:  # the second stream meets only kept runs
+            x, pads = word.split("$")[1:]
+            wide += len(x) > len(pads) + 1  # the NP window cuts x short
+            for mode in ("NP", "NL", "PSPACE"):
+                for max_configs in (1, 2, 3, 200_000):
+                    monkeypatch.setattr(machines, "_MAX_CONFIGS", max_configs)
+                    want = outcome(lambda: bfs_member_machine_language(word, mode, max_configs))
+                    assert outcome(lambda: member_machine_language(word, mode)) == want, (
+                        tm, word, mode, max_configs)
+                    agreed[want] += 1
+    assert set(agreed) == {True, False, "cap"}, agreed
+    assert wide
+
+
+def test_a_raise_at_the_cap_is_not_kept(monkeypatch, cold_memo, runs):
+    word = _word(M2, "01", 8)
+    for max_configs in (1, 1, 200_000, 1, 200_000):
+        monkeypatch.setattr(machines, "_MAX_CONFIGS", max_configs)
+        assert outcome(lambda: member_machine_language(word, "NP")) == (max_configs > 1 or "cap")
+    assert runs["NP"] == 4  # each raise ran its search again; the answer was kept
+
+
+def test_np_cap_comes_from_the_uncut_tape(monkeypatch, cold_memo):
+    # writes 0 or 1 over each '0' it passes: 2^(d+1) - 1 configurations
+    # up to depth d, so 63 in 5 steps and 127 in 6
+    branch = TmSpec(states=2, input_alphabet=("0",), tape_alphabet=("_", "0"), blank="_", start=0,
+                    accept=1, transitions=frozenset({(0, "0", 0, "0", "R"), (0, "0", 0, "_", "R")}))
+    monkeypatch.setattr(machines, "_MAX_CELLS", 2**14)  # a 200-cell tape caps the search at 81
+    seen = collections.Counter()
+    for n in (5, 6):
+        for x in ("0" * (n + 1), "0" * 200):  # one window, two widths
+            word = _word(branch, x, n)
+            want = outcome(lambda: bfs_member_machine_language(word, "NP", 2**14 // max(len(x), n + 1)))
+            assert outcome(lambda: member_machine_language(word, "NP")) == want, (n, len(x))
+            seen[n, len(x), want] += 1
+    assert seen == {(5, 6, False): 1, (5, 200, False): 1, (6, 7, False): 1, (6, 200, "cap"): 1}
+
+
+@pytest.mark.parametrize("cap", [machines._MEMO_CAP, 40])
+def test_memo_stays_within_its_bound(monkeypatch, cold_memo, runs, cap):
+    monkeypatch.setattr(machines, "_MEMO_CAP", cap)
+    # 2^13 inputs with two NP windows each, then PSPACE windows of up
+    # to 300 cells, each counted as several entries
+    words = [(_word(NEVER, format(i, "013b"), n), "NP") for i in range(2**13) for n in (12, 13)]
+    words += [(_word(NEVER, "", n), "PSPACE") for n in range(1, 300)]
+    peak = 0
+    for word, mode in words:
+        assert member_machine_language(word, mode) is False
+        peak = max(peak, machines._held)
+    assert sum(runs.values()) == len(words) > cap
+    assert machines._held == sum(1 + (len(encoding) + cells) // 64
+                                 for encoding, _, _, cells, _ in machines._runs)
+    most = 1 + (len(encode_tm(NEVER)) + 299) // 64  # the count of the longest key
+    assert cap <= peak < cap + most
+    assert len(machines._runs) < cap
+
+
+def test_each_machine_language_search_runs_each_visible_tape_once(cold_memo, runs):
+    nfa = reduce_tm_to_machine_lang(NEVER).nfa
+    for mode, extra, words in (("NP", 16, 65_519), ("NL", 15, 32_752), ("PSPACE", 15, 32_752)):
+        report = find_witness(nfa, lambda w: member_machine_language(w, mode),
+                              SearchBudget(len(encode_tm(NEVER)) + extra, 10**6, 600.0))
+        assert (report.outcome, report.words_tested) == ("exhausted", words)
+    assert runs == {"NP": 1_000, "NL": 26, "PSPACE": 493}
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import collections
 import gc
 import hashlib
 import itertools
+import random
 import time
 import tracemalloc
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from regint import search
-from regint.automata import Nfa, Tables, accepts, determinize, parse_regex, regex_to_nfa
+from regint.automata import Nfa, Tables, accepts, determinize, image, parse_regex, regex_to_nfa
 from regint.errors import CheckerError, MalformedInputError
 from regint.problems import (
     encode_tm,
@@ -236,6 +237,34 @@ def test_enumerate_keeps_its_stream_when_the_memos_clear(monkeypatch):
     monkeypatch.setattr(search, "_MEMO_CAP", 64)
     test_enumerate_never_tiling_stream_is_pinned()
     test_enumerate_never_machine_stream_is_pinned()
+
+
+def random_nfa(rng, states, letters="ab"):
+    edges = {(rng.randrange(states), rng.choice((None, *letters)), rng.randrange(states))
+             for _ in range(2 * states)}
+    finals = frozenset(rng.sample(range(states), max(1, states // 16)))
+    return Nfa(states, frozenset(letters), frozenset(edges), 0, frozenset(finals))
+
+
+def test_enumerate_keeps_its_stream_when_the_block_memo_clears(monkeypatch):
+    # 65 to 200 states span two to four blocks of the `fin` chain's memo
+    rng = random.Random(22)
+    nfas = [random_nfa(rng, rng.randint(search._BLOCK + 1, 200)) for _ in range(20)]
+    default = search._MEMO_CAP
+    images = collections.Counter()
+
+    def counted(states, pred):
+        images[search._MEMO_CAP] += 1
+        return image(states, pred)
+
+    monkeypatch.setattr(search, "image", counted)
+    streams = {}
+    for cap in (default, 16):
+        monkeypatch.setattr(search, "_MEMO_CAP", cap)
+        streams[cap] = [list(itertools.islice(enumerate_words(nfa, 20), 500)) for nfa in nfas]
+    assert streams[16] == streams[default]
+    assert sum(map(bool, streams[default])) > 15
+    assert images[16] > images[default]  # the block memo cleared, and its images were recomputed
 
 
 def test_enumerate_memos_stay_bounded_when_state_sets_never_repeat(monkeypatch):
