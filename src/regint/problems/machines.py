@@ -32,11 +32,11 @@ _SHIFT = {"L": -1, "R": 1, "S": 0}
 # (from state, read symbol, to state, written symbol, move)
 TmTransition = tuple[int, str, int, str, str]
 
-# A tape is a string of one-character codes.  Two codes are reserved:
-# an NL cell not read yet, and the cell past the NL read budget, which
-# has no symbol.  The tape symbols take the codes from _FIRST_CODE on.
-_UNREAD, _PAST = "\0", "\1"
-_FIRST_CODE = 2
+# A tape is a string of one-character codes.  One code is reserved: the
+# cell past the NL read budget, which has no symbol and so no move.  The
+# tape symbols take the codes from _FIRST_CODE on.
+_PAST = "\0"
+_FIRST_CODE = 1
 
 _MAX_CONFIGS = 200_000  # configurations a run may visit before the checker gives up
 _MAX_CELLS = 2**24  # tape cells those configurations may hold between them
@@ -250,21 +250,17 @@ def member_machine_language(word: str, mode: str) -> bool:
     exceeds `_MAX_CONFIGS`, or its tapes `_MAX_CELLS` cells, the checker
     raises ResourceLimitError instead of answering.
 
-    A run sees only the machine, the mode, the configuration cap and a
-    window of the initial tape: the first n+1 cells in NP mode, the first
-    n in PSPACE mode, and in NL mode the ⌊log₂ n⌋ cells it may read plus
-    the cell past them.  So each finished run's answer is kept, in one
-    memo for all machines, under ⟨M⟩, the mode, the input letters in the
-    window, its width (which with the mode fixes the step bound) and the
-    cap: the words of a machine language repeat one ⟨M⟩ and share few
-    windows.  The NP cut is exact: the head starts on cell 1, moves at
-    most one cell per step, and moves only from a depth of at most n-1,
-    so it never reads, writes or reaches a cell past n+1.  The cap still
-    comes from the uncut width max(|x|, n+1), and the cut configurations
-    match the uncut ones one to one, in the same order, so every answer,
-    and every raise at the cap, is the same.  A raise is never kept.  The
-    memo clears once it holds `_MEMO_CAP` entries, one for an e-bit ⟨M⟩
-    and a w-cell window counted as 1 + (e + w) // 64.
+    Each run is one window of initial cells, with a step bound in NP
+    mode: n steps over the first n+1 cells (NP), the first n cells
+    (PSPACE), or the ⌊log₂ n⌋ cells NL may read plus one cell past them
+    that has no symbol to read (NL).  The cap is lowered for a wide
+    window, so a run sees only the machine, the mode, the window and the
+    cap, and each finished run's answer is kept, in one memo for all
+    machines, under ⟨M⟩, the mode, the input letters in the window, its
+    width and the cap: the words of a machine language repeat one ⟨M⟩
+    and share few windows.  A raise is never kept.  The memo clears once
+    it holds `_MEMO_CAP` entries, one for an e-bit ⟨M⟩ and a w-cell
+    window counted as 1 + (e + w) // 64.
     """
     global _held
     if mode not in ("NL", "NP", "PSPACE"):
@@ -280,8 +276,9 @@ def member_machine_language(word: str, mode: str) -> bool:
     if n < 1:
         return False  # no step to take, no cell to stand on, or log 0 undefined
     if mode == "NP":
-        cells = n + 1
-        width = max(len(x), cells)  # the uncut tape, whose width sets the cap
+        # The head starts on cell 1, moves at most one cell per step and
+        # moves only from a depth of at most n-1: no cell past n+1 is met.
+        cells = width = n + 1
     elif mode == "PSPACE":
         cells = width = n
     else:
@@ -308,7 +305,7 @@ def member_machine_language(word: str, mode: str) -> bool:
     return accepted
 
 
-def _accepts(tm: TmSpec, mode: str, fresh: str, steps: int | None, cap: int) -> bool:
+def _accepts(tm: TmSpec, mode: str, tape0: str, steps: int | None, cap: int) -> bool:
     """Layered breadth-first search over configurations (state, head,
     tape) from (start, 0, tape0) for a run into the accept state within
     `steps` steps (None: no step bound), raising ResourceLimitError once
@@ -316,14 +313,10 @@ def _accepts(tm: TmSpec, mode: str, fresh: str, steps: int | None, cap: int) -> 
     the machine's one-character codes; the start state is not the accept
     state.
 
-    tape0 is `fresh`, except in NL mode, where every cell starts
-    _UNREAD: such a cell reads as its `fresh` code, and the write that
-    follows every read marks it read.  A position merely parked on is
-    not read.  The head stays on the tape.  The frontier is a list, so
-    configurations are visited in one fixed order and the cap is hit at
-    the same point on every run.
+    The head stays on the tape, and a cell coded _PAST has no move.  The
+    frontier is a list, so configurations are visited in one fixed order
+    and the cap is hit at the same point on every run.
     """
-    tape0 = _UNREAD * len(fresh) if mode == "NL" else fresh
     coding = tm._coding
     rows, accept, last = coding.rows, tm.accept, len(tape0) - 1
     frontier = [(tm.start, 0, tape0)]
@@ -333,10 +326,7 @@ def _accepts(tm: TmSpec, mode: str, fresh: str, steps: int | None, cap: int) -> 
         depth += 1
         layer, frontier = frontier, []
         for state, head, tape in layer:
-            symbol = tape[head]
-            if symbol == _UNREAD:
-                symbol = fresh[head]
-            for dst, write, shift in rows[state].get(symbol, ()):
+            for dst, write, shift in rows[state].get(tape[head], ()):
                 new_head = head + shift
                 if not 0 <= new_head <= last:
                     continue

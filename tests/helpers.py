@@ -298,9 +298,9 @@ _SHIFT = {"L": -1, "R": 1, "S": 0}
 
 def bfs_member_machine_language(word, mode, max_configs=200_000):
     """Reference for member_machine_language: the layered breadth-first
-    configuration search on tuple tapes of symbol names, with None for
-    an unread NL cell, that the checker ran before its coded tapes.
-    Same answers, same cap, same visiting order."""
+    configuration search over the checker's windows, on tuple tapes of
+    symbol names with None for the cell past the NL read budget.  Same
+    answers, same cap, same visiting order."""
     if mode not in ("NL", "NP", "PSPACE"):
         raise ValueError(mode)
     parts = word.split("$")
@@ -315,22 +315,20 @@ def bfs_member_machine_language(word, mode, max_configs=200_000):
         return False
     n = len(pads)
     if mode == "NP":
-        width = max(len(x), n + 1)
-        tape = tuple((x + tm.blank * width)[:width])
-        return _bfs_accepts(tm, tape, tape, n, max_configs)
+        tape = tuple((x + tm.blank * (n + 1))[:n + 1])
+        return _bfs_accepts(tm, tape, n, max_configs)
     if mode == "PSPACE":
         if n < 1:
             return tm.start == tm.accept
         tape = tuple((x + tm.blank * n)[:n])
-        return _bfs_accepts(tm, tape, tape, None, max_configs)
+        return _bfs_accepts(tm, tape, None, max_configs)
     if n < 1:
         return False
     cells = n.bit_length() - 1
-    fresh = tuple((x + tm.blank * cells)[:cells]) + (None,)
-    return _bfs_accepts(tm, (None,) * (cells + 1), fresh, None, max_configs)
+    return _bfs_accepts(tm, tuple((x + tm.blank * cells)[:cells]) + (None,), None, max_configs)
 
 
-def _bfs_accepts(tm, tape0, fresh, steps, max_configs):
+def _bfs_accepts(tm, tape0, steps, max_configs):
     if tm.start == tm.accept:
         return True
     moves = {}
@@ -343,10 +341,7 @@ def _bfs_accepts(tm, tape0, fresh, steps, max_configs):
         depth += 1
         layer, frontier = frontier, []
         for state, head, tape in layer:
-            symbol = tape[head]
-            if symbol is None:
-                symbol = fresh[head]
-            for _, _, dst, write, move in moves.get((state, symbol), ()):
+            for _, _, dst, write, move in moves.get((state, tape[head]), ()):
                 new_head = head + _SHIFT[move]
                 if not 0 <= new_head < len(tape):
                     continue

@@ -7,6 +7,7 @@ import pytest
 
 from regint.errors import MalformedInputError, MalformedWordError
 from regint.problems import (
+    BpcpSolution,
     PcpInstance,
     bin_decode,
     bin_encode,
@@ -169,6 +170,19 @@ def test_malformed_words_are_non_members():
     assert member_bpcp("a$a$10") is False         # K exceeds the list length
     assert member_bpcp("#a$a$1") is False         # empty list entry
     assert member_bpcp("a$a$1$") is False         # too many separators
+
+
+def test_an_empty_list_entry_makes_the_word_malformed():
+    # the lists agree in length, so the instance itself refuses the entry
+    with pytest.raises(MalformedWordError, match=r"a\[1\]: strings must be nonempty"):
+        parse_bpcp_word("a#$b#c$1")
+    assert member_bpcp("a#$b#c$1") is False
+
+
+def test_solution_indices_are_one_based_and_within_the_bound():
+    for indices, bound in (((), 1), ((1, 1), 1), ((0,), 1)):
+        with pytest.raises(MalformedInputError):
+            BpcpSolution(indices, bound)
 
 
 def test_k_must_not_exceed_list_length():

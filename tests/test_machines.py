@@ -79,6 +79,15 @@ def test_encode_rejects_noncanonical_layouts():
         encode_tm(odd)
     with pytest.raises(MalformedInputError):
         encode_tm(M1)  # input symbol "1" where the canon wants "0"
+    canonical = {"states": 2, "input_alphabet": ("0",), "tape_alphabet": ("_", "0"), "blank": "_",
+                 "start": 0, "accept": 1, "transitions": frozenset()}
+    for layout, problem in (
+        ({"start": 1, "accept": 0}, "start must be 0 and accept 1"),
+        ({"tape_alphabet": ("0", "_")}, "tape symbol 1 must be the blank '_'"),
+        ({"input_alphabet": ()}, "input alphabet must be the tape alphabet minus the blank, in order"),
+    ):
+        with pytest.raises(MalformedInputError, match=f"canonical layout: {problem}$"):
+            encode_tm(TmSpec(**{**canonical, **layout}))
 
 
 def test_decode_rejects_malformed_bit_strings():
@@ -425,20 +434,32 @@ def test_a_raise_at_the_cap_is_not_kept(monkeypatch, cold_memo, runs):
     assert runs["NP"] == 4  # each raise ran its search again; the answer was kept
 
 
-def test_np_cap_comes_from_the_uncut_tape(monkeypatch, cold_memo):
+def test_np_cap_comes_from_the_window(monkeypatch, cold_memo, runs):
     # writes 0 or 1 over each '0' it passes: 2^(d+1) - 1 configurations
-    # up to depth d, so 63 in 5 steps and 127 in 6
+    # up to depth d, so 127 in 6 steps, under the cap a 7-cell window
+    # gets but over the 81 a 200-cell tape would get
     branch = TmSpec(states=2, input_alphabet=("0",), tape_alphabet=("_", "0"), blank="_", start=0,
                     accept=1, transitions=frozenset({(0, "0", 0, "0", "R"), (0, "0", 0, "_", "R")}))
-    monkeypatch.setattr(machines, "_MAX_CELLS", 2**14)  # a 200-cell tape caps the search at 81
-    seen = collections.Counter()
-    for n in (5, 6):
-        for x in ("0" * (n + 1), "0" * 200):  # one window, two widths
-            word = _word(branch, x, n)
-            want = outcome(lambda: bfs_member_machine_language(word, "NP", 2**14 // max(len(x), n + 1)))
-            assert outcome(lambda: member_machine_language(word, "NP")) == want, (n, len(x))
-            seen[n, len(x), want] += 1
-    assert seen == {(5, 6, False): 1, (5, 200, False): 1, (6, 7, False): 1, (6, 200, "cap"): 1}
+    monkeypatch.setattr(machines, "_MAX_CELLS", 2**14)
+    for x in ("0" * 7, "0" * 200):  # one window, two widths of x
+        word = _word(branch, x, 6)
+        assert bfs_member_machine_language(word, "NP", 2**14 // 7) is False
+        assert member_machine_language(word, "NP") is False, len(x)
+    assert runs["NP"] == len(machines._runs) == 1
+
+
+def test_nl_cell_written_back_is_the_cell_before_its_read(monkeypatch, cold_memo):
+    # walks onto cell 2 and either back left, writing what it read, or on
+    # to cell 3, which it reads to accept: the step left returns to the
+    # start configuration, so 3 configurations are met before accepting
+    back = TmSpec(states=4, input_alphabet=("0",), tape_alphabet=("_", "0"), blank="_", start=0,
+                  accept=1, transitions=frozenset({(0, "0", 2, "0", "R"), (2, "0", 0, "0", "L"),
+                                                   (2, "0", 3, "0", "R"), (3, "0", 1, "0", "S")}))
+    word = _word(back, "000", 8)  # floor(log2 8) = 3 readable cells
+    for max_configs, want in ((2, "cap"), (3, True), (4, True), (200_000, True)):
+        monkeypatch.setattr(machines, "_MAX_CONFIGS", max_configs)
+        assert outcome(lambda: bfs_member_machine_language(word, "NL", max_configs)) == want
+        assert outcome(lambda: member_machine_language(word, "NL")) == want, max_configs
 
 
 @pytest.mark.parametrize("cap", [machines._MEMO_CAP, 40])

@@ -3,6 +3,7 @@
 import itertools
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from regint.problems import (
@@ -60,6 +61,8 @@ def test_shuffled_characterization_exhaustive_to_length_5():
 def test_pad_helpers():
     assert pad_to_common("a", "abb", PAD) == ("a__", "abb")
     assert interleave("ab", "cd") == "acbd"
+    with pytest.raises(ValueError):
+        interleave("ab", "c")
 
 
 # ---------------------------------------------------------------------------

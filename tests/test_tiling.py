@@ -53,6 +53,12 @@ def test_instance_coloring_lengths_must_match_width():
         TilingInstance("bounded", ts, 2, ("w", "w"), ("c",), ("w", "w"), ("c", "c"))
 
 
+def test_instance_variant_must_be_known():
+    ts = tiles_of(("w", "c", "w", "c"))
+    with pytest.raises(MalformedInputError, match="variant"):
+        TilingInstance("square", ts, 1, ("w",), ("c",), ("w",), ("c",))
+
+
 def test_corridor_instances_have_no_side_colorings():
     ts = tiles_of(("w", "c", "w", "c"))
     with pytest.raises(MalformedInputError):
@@ -77,6 +83,15 @@ def test_validator_rejects_non_square_bounded_grids():
     assert validate_tiling(inst, Tiling(1, 2, ((0,), (0,)))) != []
 
 
+def test_validator_reports_a_grid_that_does_not_fit_the_instance():
+    ts = tiles_of(("w", "c", "w", "c"))
+    inst = TilingInstance("corridor", ts, 2, None, ("c", "c"), None, ("c", "c"))
+    assert validate_tiling(inst, Tiling(1, 1, ((0,),))) == ["width 1 != instance width 2"]
+    assert validate_tiling(inst, Tiling(2, 2, ((0, 0), (0,)))) == ["grid shape does not match width/height"]
+    assert validate_tiling(inst, Tiling(2, 2, ((0, 0), (0, 1)))) == ["cell (1,1): tile index 1 out of range"]
+    assert validate_tiling(inst, Tiling(2, 1, ((-1, 0),))) == ["cell (0,0): tile index -1 out of range"]
+
+
 def test_validator_reports_a_zero_height_grid():
     ts = tiles_of(("w", "c", "w", "c"))
     inst = TilingInstance("corridor", ts, 2, None, ("c", "c"), None, ("c", "c"))
@@ -85,6 +100,16 @@ def test_validator_reports_a_zero_height_grid():
 
 # ---------------------------------------------------------------------------
 # bounded solving
+
+
+def test_each_solver_refuses_the_other_variant():
+    ts = tiles_of(("w", "c", "w", "c"))
+    bounded = TilingInstance("bounded", ts, 1, ("w",), ("c",), ("w",), ("c",))
+    corridor = TilingInstance("corridor", ts, 1, None, ("c",), None, ("c",))
+    with pytest.raises(MalformedInputError, match="needs a bounded instance"):
+        solve_bounded_tiling(corridor)
+    with pytest.raises(MalformedInputError, match="needs a corridor instance"):
+        solve_corridor_tiling(bounded)
 
 
 def test_single_cell_tiling():
@@ -306,6 +331,16 @@ def test_malformed_words_are_non_members():
 def test_serialize_tile_set_is_stable():
     ts = tiles_of(("w", "c", "w", "c"), ("w", "d", "w", "d"))
     assert serialize_tile_set(ts) == "w,c,w,c;w,d,w,d"
+
+
+def test_colors_holding_a_delimiter_are_not_serialized():
+    for color in ("c;d", "c,d", "c$d", "c#d"):
+        with pytest.raises(MalformedInputError, match="cannot be serialized"):
+            serialize_tile_set(tiles_of(("w", color, "w", "c")))
+        ts = TileSet((TileType("w", "c", "w", "c"),), frozenset({"w", "c", color}))
+        with pytest.raises(MalformedInputError) as exc:
+            instance_to_word(TilingInstance("corridor", ts, 1, None, (color,), None, ("c",)))
+        assert str(exc.value) == f"t: color {color!r} cannot be serialized"
 
 
 def test_parse_rejects_malformed_tile_fields():
