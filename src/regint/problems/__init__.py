@@ -117,10 +117,8 @@ def _solve_tiling(variant: str) -> Callable[[object], Optional[dict]]:
         instance = tiling_instance_from_json(document)
         if instance.variant != variant:
             raise MalformedInputError(f"variant: expected {variant}")
-        if variant == "bounded":
-            tiling = solve_bounded_tiling(instance)
-        else:
-            _, tiling = solve_corridor_tiling(instance) or (None, None)
+        solve = solve_bounded_tiling if variant == "bounded" else solve_corridor_tiling
+        tiling = solve(instance)
         if tiling is None:
             return None
         return {"width": tiling.width, "height": tiling.height, "grid": [list(row) for row in tiling.grid]}

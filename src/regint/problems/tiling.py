@@ -195,8 +195,12 @@ def solve_bounded_tiling(instance: TilingInstance) -> Optional[Tiling]:
     return None
 
 
-def solve_corridor_tiling(instance: TilingInstance) -> Optional[tuple[int, Tiling]]:
-    """Minimal corridor height and a witness tiling, or None.
+def solve_corridor_tiling(instance: TilingInstance) -> Optional[Tiling]:
+    """A witness tiling of minimal height, or None.
+
+    The height is the tiling's own `height`; like `solve_bounded_tiling`,
+    the solver returns the `Tiling` alone (it once returned a
+    (height, Tiling) pair).
 
     Breadth-first over rows: a row is any horizontally matching tile
     sequence (side edges unconstrained); its south colors must equal
@@ -248,7 +252,7 @@ def solve_corridor_tiling(instance: TilingInstance) -> Optional[tuple[int, Tilin
             for _ in range(height):
                 vector, row = parent[vector]
                 rows.append(row)
-            return height, Tiling(n, height, tuple(reversed(rows)))
+            return Tiling(n, height, tuple(reversed(rows)))
         frontier = nxt
     return None
 
@@ -299,10 +303,9 @@ def parse_tiling_word(word: str) -> TilingInstance:
     colors = frozenset(c for tile in tiles for c in tile) | frozenset(e for c in colorings for e in c)
     tile_set = TileSet(tiles=tiles, colors=colors)
     named = dict.fromkeys(SIDES["bounded"]) | dict(zip(SIDES[variant], colorings))
-    try:
-        return TilingInstance(variant, tile_set, widths.pop(), **named)
-    except MalformedInputError as exc:
-        raise MalformedWordError(str(exc)) from exc
+    # the checks above leave nothing for TilingInstance to refuse: every
+    # coloring is nonempty, of one width, and declares its own colors
+    return TilingInstance(variant, tile_set, widths.pop(), **named)
 
 
 def instance_to_word(instance: TilingInstance) -> str:

@@ -54,7 +54,7 @@ class WitnessReport:
 
 _BLOCK = 64  # states per block of the backward chain's memo
 _TAIL = 4  # longest tail: last letters of a word spelled once per state set, shared by its prefixes
-_MEMO_CAP = 2**14  # entries the successor, branch, tail and block memos hold before they clear
+_MEMO_CAP = 2**14  # entries the successor, tail and block memos hold before they clear
 
 
 def _tail_length(letters: int) -> int:
@@ -77,8 +77,8 @@ def enumerate_words(automaton: Automaton, max_len: int) -> Iterator[str]:
     letters left (Ackerman & Shallit, "Efficient enumeration of words in
     regular languages", TCS 410, 2009).  Work is shared across lengths:
     the successors of a state set are stepped once per call and kept, and
-    each (state set, `fin` value) pair keeps the branches filtered from
-    them.  The last R letters are shared too (Ackerman & Mäkinen, "Three
+    each frame filters that shared list by its `fin` value as it walks
+    it.  The last R letters are shared too (Ackerman & Mäkinen, "Three
     new algorithms for regular language enumeration", COCOON 2009): the
     search stops R letters above the leaves, where every prefix that
     reaches the same state set takes one list of its tails, spelled once
@@ -90,9 +90,9 @@ def enumerate_words(automaton: Automaton, max_len: int) -> Iterator[str]:
     current depth, so the search holds fewer than L frames and O(L)
     letters besides the tails.
 
-    Memory is O(max_len·|Q|) for `fin`, plus the successor, branch, tail
-    and block memos, however large the language or its alphabet.  A tail
-    list holds at most |Σ|^R strings.  The four memos clear together
+    Memory is O(max_len·|Q|) for `fin`, plus the successor, tail and
+    block memos, however large the language or its alphabet.  A tail
+    list holds at most |Σ|^R strings.  The three memos clear together
     once they hold `_MEMO_CAP` entries, each tail string counted as one;
     the lists that live frames still walk stay theirs, and each memo is
     a pure function of its key, so the stream is the same.
@@ -103,7 +103,6 @@ def enumerate_words(automaton: Automaton, max_len: int) -> Iterator[str]:
     first = {t.finals: 0}  # where each fin value first appeared, until one repeats
     period = 0
     succ: dict[int, list[tuple[str, int]]] = {}  # state set -> its non-empty steps
-    viable: dict[tuple[int, int], list[tuple[str, int]]] = {}
     tail: dict[tuple[int, int], list[str]] = {}  # (state set, r) -> its r-letter tails
     held = 0  # memo entries, each tail string counted as one
     back: dict[tuple[int, int], int] = {}  # (block, its bits) -> their predecessors
@@ -113,7 +112,6 @@ def enumerate_words(automaton: Automaton, max_len: int) -> Iterator[str]:
         nonlocal held
         if held >= _MEMO_CAP:
             succ.clear()
-            viable.clear()
             tail.clear()
             back.clear()
             held = 0
@@ -121,23 +119,21 @@ def enumerate_words(automaton: Automaton, max_len: int) -> Iterator[str]:
         memo[key] = value
         return value
 
-    def branches(states: int, need: int) -> list[tuple[str, int]]:
-        out = viable.get((states, need))
+    def steps(states: int) -> list[tuple[str, int]]:
+        out = succ.get(states)
         if out is None:
-            steps = succ.get(states)
-            if steps is None:
-                steps = keep(succ, states, [(sym, nxt) for sym in t.symbols if (nxt := t.step(states, sym))])
-            out = keep(viable, (states, need), [step for step in steps if step[1] & need])
+            out = keep(succ, states, [(sym, nxt) for sym in t.symbols if (nxt := t.step(states, sym))])
         return out
 
     def tails(states: int, r: int) -> list[str]:
         out = tail.get((states, r))
         if out is None:
             # level by level, in lexicographic order: each level extends
-            # the last by one letter, keeping only branches still viable
+            # the last by one letter, keeping only steps into fin[left]
             level = [("", states)]
             for left in range(r - 1, -1, -1):
-                level = [(word + sym, nxt) for word, now in level for sym, nxt in branches(now, fin[left])]
+                need = fin[left]
+                level = [(word + sym, nxt) for word, now in level for sym, nxt in steps(now) if nxt & need]
             out = keep(tail, (states, r), [word for word, _ in level], len(level))
         return out
 
@@ -171,10 +167,12 @@ def enumerate_words(automaton: Automaton, max_len: int) -> Iterator[str]:
             continue
         stem = length - share  # letters spelled by the search; tails give the rest
         path = ""  # path[:depth] spells the prefix of the innermost frame
-        stack = [iter(branches(t.start, fin[length - 1]))]
+        stack = [iter(steps(t.start))]
         while stack:
-            for sym, nxt in stack[-1]:  # the next branch of the innermost frame
-                break
+            need = fin[length - len(stack)]
+            for sym, nxt in stack[-1]:  # the innermost frame's next step into `need`
+                if nxt & need:
+                    break
             else:
                 stack.pop()
                 continue
@@ -185,7 +183,7 @@ def enumerate_words(automaton: Automaton, max_len: int) -> Iterator[str]:
                 if len(path) > depth:  # cut back what the popped frames spelled
                     path = path[:depth]
                 path += sym
-                stack.append(iter(branches(nxt, fin[length - depth - 2])))
+                stack.append(iter(steps(nxt)))
 
 
 def find_witness(

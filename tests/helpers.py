@@ -505,7 +505,7 @@ def brute_bounded(instance):
 
 
 def brute_corridor(instance, max_height):
-    """Exhaustive scan by height, then grid; (height, tiling) or None."""
+    """Exhaustive scan by height, then grid; the first valid tiling or None."""
     n = instance.width
     count = len(instance.tile_set.tiles)
     for h in range(1, max_height + 1):
@@ -513,5 +513,5 @@ def brute_corridor(instance, max_height):
             rows = tuple(tuple(flat[j * n:(j + 1) * n]) for j in range(h))
             tiling = Tiling(n, h, rows)
             if not validate_tiling(instance, tiling):
-                return h, tiling
+                return tiling
     return None

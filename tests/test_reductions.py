@@ -510,10 +510,9 @@ def test_accepting_runs_tile_at_max_time_space():
 def test_accepting_runs_tile_in_the_corridor_too():
     for tm, x, size, height in [(M1, "1", 3, 3), (M2, "01", 5, 5)]:
         inst = instance_for(tm, x, size, "corridor")
-        result = solve_corridor_tiling(inst)
-        assert result is not None
-        got_height, tiling = result
-        assert got_height == height
+        tiling = solve_corridor_tiling(inst)
+        assert tiling is not None
+        assert tiling.height == height
         assert validate_tiling(inst, tiling) == []
 
 

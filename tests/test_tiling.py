@@ -157,7 +157,7 @@ def test_bounded_solver_agrees_with_brute_force_on_tiny_instances():
 def test_corridor_single_column_height_one():
     ts = tiles_of(("w", "c", "w", "c"))
     inst = TilingInstance("corridor", ts, 1, None, ("c",), None, ("c",))
-    assert solve_corridor_tiling(inst) == (1, Tiling(1, 1, ((0,),)))
+    assert solve_corridor_tiling(inst) == Tiling(1, 1, ((0,),))
 
 
 def test_corridor_unmatchable_top_gives_none():
@@ -172,10 +172,9 @@ def test_two_tile_chain_forces_height_two():
     # bottom color c lifts to m, m lifts to t: exactly two rows
     ts = tiles_of(("w", "m", "w", "c"), ("w", "t", "w", "m"))
     inst = TilingInstance("corridor", ts, 1, None, ("t",), None, ("c",))
-    result = solve_corridor_tiling(inst)
-    assert result is not None
-    height, tiling = result
-    assert height == 2
+    tiling = solve_corridor_tiling(inst)
+    assert tiling is not None
+    assert tiling.height == 2
     assert tiling.grid == ((0,), (1,))
     assert validate_tiling(inst, tiling) == []
 
@@ -185,8 +184,8 @@ def test_corridor_height_is_minimal():
     # must return 1
     ts = tiles_of(("w", "c", "w", "c"), ("w", "t", "w", "c"))
     inst = TilingInstance("corridor", ts, 1, None, ("t",), None, ("c",))
-    result = solve_corridor_tiling(inst)
-    assert result is not None and result[0] == 1
+    tiling = solve_corridor_tiling(inst)
+    assert tiling is not None and tiling.height == 1
 
 
 def test_corridor_solver_agrees_with_brute_force_on_tiny_instances():
@@ -205,11 +204,11 @@ def test_corridor_solver_agrees_with_brute_force_on_tiny_instances():
         brute = brute_corridor(inst, 3)
         if brute is not None:
             assert mine is not None
-            assert mine[0] == brute[0]  # minimal height agrees
-            assert validate_tiling(inst, mine[1]) == []
+            assert mine.height == brute.height  # minimal height agrees
+            assert validate_tiling(inst, mine) == []
         elif mine is not None:
             # solvable but only above the brute-force height cap
-            assert mine[0] > 3
+            assert mine.height > 3
         else:
             assert mine is None
 
@@ -249,7 +248,7 @@ def corridor_outcome(instance):
         result = solve_corridor_tiling(instance)
     except ResourceLimitError:
         return "ResourceLimitError"
-    return result and (result[0], result[1].grid)
+    return result and (result.height, result.grid)
 
 
 def test_solver_outputs_are_pinned(monkeypatch):
@@ -284,11 +283,10 @@ def test_solver_outputs_are_pinned(monkeypatch):
 
 def test_free_sides_admit_head_escape_tilings():
     inst = instance_for(M2, "0", 1, "corridor")
-    result = solve_corridor_tiling(inst)
-    assert result is not None
-    height, tiling = result
+    tiling = solve_corridor_tiling(inst)
+    assert tiling is not None
     assert validate_tiling(inst, tiling) == []
-    assert height == 3
+    assert tiling.height == 3
 
 
 # ---------------------------------------------------------------------------
