@@ -20,7 +20,8 @@ import regint  # public names import their modules on first access, so a call lo
 from .errors import MalformedInputError, ReginError, ResourceLimitError
 from .problems import PAD, PROBLEMS, Problem
 
-# reduction kind -> builder from (input document, --variant) to the printed payload
+# reduction kind -> builder from (input document, --variant) to the printed
+# payload; only ntm-to-tiling-lang takes a variant
 REDUCTIONS = {
     "pcp-to-shuffled-regex":
         lambda data, _: regint.reduce_pcp_to_shuffled_regex(regint.pcp_from_json(data), PAD).to_json(),
@@ -104,7 +105,9 @@ def _run_search(args) -> int:
 
 
 def _run_reduce(args) -> int:
-    payload = REDUCTIONS[args.kind](_load_json(args.infile), args.variant)
+    if args.variant is not None and args.kind != "ntm-to-tiling-lang":
+        raise MalformedInputError(f"variant: not applicable to {args.kind}")
+    payload = REDUCTIONS[args.kind](_load_json(args.infile), args.variant or "bounded")
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -154,7 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
     reduce_cmd = sub.add_parser("reduce", help="generate an instance language or tile set")
     reduce_cmd.add_argument("kind", choices=REDUCTIONS)
     reduce_cmd.add_argument("--in", dest="infile", required=True)
-    reduce_cmd.add_argument("--variant", choices=("bounded", "corridor"), default="bounded")
+    reduce_cmd.add_argument("--variant", choices=("bounded", "corridor"),
+                            help="ntm-to-tiling-lang only (default: bounded)")
     reduce_cmd.add_argument("--out")
     reduce_cmd.set_defaults(run=_run_reduce)
 

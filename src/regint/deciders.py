@@ -8,10 +8,11 @@ decider's docstring gives its method.
 
 from __future__ import annotations
 
+import functools
 from math import gcd
 from typing import Iterable, Iterator, Optional
 
-from .automata import Dfa, Nfa, _bits, _reach, erase_letters, image, intersect_dfa
+from .automata import Dfa, Nfa, _bits, _reach, determinize, erase_letters, image, intersect_dfa
 from .errors import AlphabetError
 from .pda import pda_intersect_dfa  # noqa: F401  (unused; bench/tracer.py wraps it here by name)
 from .symbols import SEPARATOR
@@ -96,23 +97,6 @@ def decide_intreg_unary_shuffled(a: Dfa, unary_symbol: str, pad_symbol: str) -> 
                     out[r] = out.get(r, 0) | moved
         todo = _add_new(seen, out)
     return False
-
-
-def _shape_dfa(full_alphabet: frozenset[str], side_letters: frozenset[str]) -> Dfa:
-    """Three-state automaton for side* $ side* over the full alphabet."""
-    delta: dict[tuple[int, str], int] = {}
-    for sym in full_alphabet:
-        if sym == SEPARATOR:
-            delta[(0, sym)] = 1
-            delta[(1, sym)] = 2
-        elif sym in side_letters:
-            delta[(0, sym)] = 0
-            delta[(1, sym)] = 1
-        else:
-            delta[(0, sym)] = 2
-            delta[(1, sym)] = 2
-        delta[(2, sym)] = 2
-    return Dfa(3, full_alphabet, delta, 0, frozenset({1}))
 
 
 def _add_new(seen: dict[int, int], nodes: dict[int, int]) -> dict[int, int]:
@@ -203,14 +187,22 @@ def decide_intreg_sequential_string_eq(
             f"automaton alphabet {sorted(a.alphabet)} must cover {sorted(needed)}"
         )
 
-    product = intersect_dfa(a, _shape_dfa(a.alphabet, sigma | {pad_symbol}))
+    # side*$side*, side = sigma and the pad, as a two-state NFA; the
+    # subset construction adds the dead state
+    loops = frozenset((q, sym, q) for q in (0, 1) for sym in sigma | {pad_symbol})
+    product = intersect_dfa(a, determinize(Nfa(2, a.alphabet, loops | {(0, SEPARATOR, 1)}, 0, frozenset({1}))))
     steps = frozenset((src, sym, dst) for (src, sym), dst in product.delta.items() if sym != SEPARATOR)
     base = Nfa(product.states, product.alphabet - {SEPARATOR}, steps, product.start, product.finals)
     t = erase_letters(base, {pad_symbol}).tables
     co_reach = _reach(t.finals, t.pred)
-    # split points: the prefix states whose separator successor co-reaches
-    splits = sum(1 << q for q in range(product.states)
-                 if t.closures[product.delta[(q, SEPARATOR)]] & co_reach)
+    # the split points, the prefix states whose separator successor q'
+    # co-reaches, per q'
+    targets: dict[int, int] = {}
+    for q in range(product.states):
+        qp = product.delta[(q, SEPARATOR)]
+        if t.closures[qp] & co_reach:
+            targets[qp] = targets.get(qp, 0) | 1 << q
+    splits = sum(targets.values())  # the masks are disjoint
     xs = _reach(splits, t.pred)
 
     images: dict[tuple[str, int], int] = {}
@@ -233,30 +225,23 @@ def decide_intreg_sequential_string_eq(
                 out[x2] = out.get(x2, 0) | ys
         return out
 
-    # the split points whose separator successor is q', per q'
-    targets: dict[int, int] = {}
-    for q in _bits(splits):
-        qp = product.delta[(q, SEPARATOR)]
-        targets[qp] = targets.get(qp, 0) | 1 << q
-    # per q', the group of each fitting (q, qf), and the links that spell
-    # those groups when there is one
-    explored: dict[int, tuple[dict[int, dict[int, int]], list]] = {}
-
+    @functools.cache
     def explore(qp: int) -> tuple[dict[int, dict[int, int]], list]:
-        """One search over the pairs the two sides reach on a common
-        erased word from (start, q'), in least-word groups."""
-        if qp not in explored:
-            start = {x: t.closures[qp] & co_reach for x in _bits(t.start & xs)}
-            mine = targets[qp]
-            fits: dict[int, dict[int, int]] = {}
-            links: list = []
-            for g, pairs in _groups(start, t.symbols, pair_step, links):
-                for q, ys in pairs.items():
-                    if mine >> q & 1:
-                        for y in _bits(ys & t.finals):
-                            fits.setdefault(q, {})[y] = g
-            explored[qp] = (fits, links if fits else [])
-        return explored[qp]
+        """One search, run once per q', over the pairs the two sides
+        reach on a common erased word from (start, q'), in least-word
+        groups.  It returns the group of each fitting (q, qf), as
+        {q: {qf: group}}, and the links that spell those groups when
+        there is one."""
+        start = {x: t.closures[qp] & co_reach for x in _bits(t.start & xs)}
+        mine = targets[qp]
+        fits: dict[int, dict[int, int]] = {}
+        links: list = []
+        for g, pairs in _groups(start, t.symbols, pair_step, links):
+            for q, ys in pairs.items():
+                if mine >> q & 1:
+                    for y in _bits(ys & t.finals):
+                        fits.setdefault(q, {})[y] = g
+        return fits, links if fits else []
 
     for q in _bits(splits):
         fits, links = explore(product.delta[(q, SEPARATOR)])

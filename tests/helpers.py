@@ -12,8 +12,8 @@ import heapq
 import itertools
 from collections import deque
 
-from regint.automata import Dfa, Nfa, _bits, _reach, erase_letters, image, intersect_dfa
-from regint.deciders import _add_new, _least_word, _shape_dfa
+from regint.automata import Dfa, Nfa, _bits, _reach, determinize, erase_letters, image, intersect_dfa
+from regint.deciders import _add_new, _least_word
 from regint.errors import MalformedWordError, ResourceLimitError
 from regint.pda import Pda
 from regint.problems import PcpInstance, TmSpec, decode_tm, interleave, pad_to_common
@@ -151,7 +151,8 @@ def sequential_by_two_searches(dfa, sigma, pad):
     search over the same pairs spells v.  Only the decider's building
     blocks are shared, so the single group search can be compared with
     it witness for witness."""
-    product = intersect_dfa(dfa, _shape_dfa(dfa.alphabet, frozenset(sigma) | {pad}))
+    loops = frozenset((q, sym, q) for q in (0, 1) for sym in {*sigma, pad})
+    product = intersect_dfa(dfa, determinize(Nfa(2, dfa.alphabet, loops | {(0, SEPARATOR, 1)}, 0, frozenset({1}))))
     steps = frozenset((src, sym, dst) for (src, sym), dst in product.delta.items() if sym != SEPARATOR)
     base = Nfa(product.states, product.alphabet - {SEPARATOR}, steps, product.start, product.finals)
     t = erase_letters(base, {pad}).tables

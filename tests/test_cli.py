@@ -352,6 +352,17 @@ def test_reduce_tiles_and_variants(capsys, files):
     assert code == 0 and doc["provenance"] == "ntm-to-tiling-lang/corridor"
 
 
+@pytest.mark.parametrize("kind, infile", [
+    ("pcp-to-shuffled-regex", "classic"), ("pcp-to-bpcp", "classic"),
+    ("tm-to-machine-lang", "h2"), ("ntm-to-tiles", "h2"),
+])
+def test_reduce_refuses_a_variant_its_kind_has_not(capsys, files, kind, infile):
+    for variant in ("bounded", "corridor"):
+        code, doc = run(capsys, "reduce", kind, "--in", files[infile], "--variant", variant)
+        assert (code, doc) == (2, {"error": f"variant: not applicable to {kind}"})
+    assert run(capsys, "reduce", kind, "--in", files[infile])[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # search
 

@@ -14,8 +14,8 @@ import time
 
 import pytest
 
-from regint.automata import Dfa, Nfa, accepts, determinize, dfa_to_nfa, intersect_dfa
-from regint.deciders import decide_intreg_sequential_string_eq, decide_intreg_unary_shuffled
+from regint.automata import Dfa, Nfa, accepts, determinize, dfa_to_nfa, image, intersect_dfa
+from regint.deciders import _least_word, decide_intreg_sequential_string_eq, decide_intreg_unary_shuffled
 from regint.errors import AlphabetError
 from regint.pda import pda_intersect_dfa, pda_is_empty
 from regint.problems import member_sequential_string_eq, member_shuffled_string_eq
@@ -320,6 +320,21 @@ def test_sequential_single_search_matches_two_searches():
         assert result == sequential_by_two_searches(d, sigma, "_"), i
         verdicts += result[0]
     assert 0 < verdicts < 2000
+
+
+def test_least_word_is_none_once_the_groups_run_out():
+    # 'a' walks 0 -> 1 -> 2, 'b' sends 0 and 1 back to 0, and 2 and 3 loop:
+    # state 3 is never reached, so its search ends with no word
+    moves = {"a": (0b10, 0b100, 0b100, 0b1000), "b": (0b1, 0b1, 0b100, 0b1000)}
+
+    def step(nodes, sym):
+        return {0: image(nodes[0], moves[sym])}
+
+    def reaches(goal):
+        return lambda nodes: nodes[0] >> goal & 1
+
+    assert _least_word({0: 1}, "ab", step, reaches(2)) == "aa"
+    assert _least_word({0: 1}, "ab", step, reaches(3)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from regint.automata import (
     EmptySet,
     EmptyWord,
     Lit,
+    RegexAst,
     Star,
     accepts,
     determinize,
@@ -130,3 +131,10 @@ def test_deep_nesting_and_long_chains_need_no_recursion():
     # a* then one more star per group: two fresh states per star
     starred = regex_to_nfa(parse_regex("(" * depth + "a*" + ")*" * depth, AB))
     assert starred.states == 2 * depth + 4
+
+
+def test_regex_to_nfa_refuses_a_node_that_is_not_a_regex_node():
+    # a bare string where a Lit belongs, at the root and under a Concat
+    for root in ("a", Concat(Lit("a"), "b")):
+        with pytest.raises(TypeError, match="not a regex node"):
+            regex_to_nfa(RegexAst(root, AB))
