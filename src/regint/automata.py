@@ -10,6 +10,7 @@ package; inside a regex they are never literals.
 Automata are immutable and safe to share between threads.  NFAs may
 carry silent transitions (label ``None``); DFAs are total over their
 alphabet, with any required dead state materialized on construction.
+Both kinds list their moves as `transitions` and share one move check.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ Transition = tuple[int, Optional[str], int]
 
 
 def _transition_order(t: Transition) -> tuple:
-    """The order automaton_to_json lists NFA transitions in."""
+    """The codec order: automaton_to_json lists transitions in this order."""
     return (t[0], (t[1] is not None, t[1] or ""), t[2])
 
 
@@ -166,7 +167,20 @@ def _check_states(states: int, start: int, finals: Iterable[int]) -> None:
 
 
 class _Compiled:
-    """The compiled form that Nfa and Dfa share."""
+    """What Nfa and Dfa share: both list their moves as `transitions`,
+    checked by one rule (the first fault in codec order) and compiled."""
+
+    def __post_init__(self):
+        _check_states(self.states, self.start, self.finals)
+        raise_first_fault(self._faults, self.transitions, _transition_order)
+
+    def _faults(self, transitions: Iterable[Transition]) -> Iterator[str]:
+        """The first failing check of each faulty transition, in order."""
+        for src, label, dst in transitions:
+            if not (0 <= src < self.states and 0 <= dst < self.states):
+                yield f"transitions: state out of range in ({src}, {label!r}, {dst})"
+            elif label is not None and label not in self.alphabet:
+                yield f"transitions: label {label!r} not in alphabet"
 
     @cached_property
     def tables(self) -> Tables:
@@ -184,18 +198,6 @@ class Nfa(_Compiled):
     start: int
     finals: frozenset[int]
 
-    def __post_init__(self):
-        _check_states(self.states, self.start, self.finals)
-        raise_first_fault(self._faults, self.transitions, _transition_order)
-
-    def _faults(self, transitions: Iterable[Transition]) -> Iterator[str]:
-        """The first failing check of each faulty transition, in order."""
-        for src, label, dst in transitions:
-            if not (0 <= src < self.states and 0 <= dst < self.states):
-                yield f"transitions: state out of range in ({src}, {label!r}, {dst})"
-            elif label is not None and label not in self.alphabet:
-                yield f"transitions: label {label!r} not in alphabet"
-
 
 @dataclass(frozen=True, eq=True)
 class Dfa(_Compiled):
@@ -207,21 +209,22 @@ class Dfa(_Compiled):
     start: int
     finals: frozenset[int]
 
+    @property
+    def transitions(self) -> frozenset[Transition]:
+        """The moves of `delta` as (state, letter, state) triples."""
+        return frozenset((src, sym, dst) for (src, sym), dst in self.delta.items())
+
     def __post_init__(self):
-        _check_states(self.states, self.start, self.finals)
-        for (src, sym), dst in self.delta.items():
-            if not (0 <= src < self.states and 0 <= dst < self.states):
-                raise MalformedInputError(f"transitions: state out of range in ({src}, {sym!r}, {dst})")
-            if sym not in self.alphabet:
-                raise MalformedInputError(f"transitions: label {sym!r} not in alphabet")
-        # every key is a distinct in-range (state, letter) pair, so the
-        # count alone decides totality; the walk only names a missing move
+        super().__post_init__()
+        # every key is a distinct in-range (state, letter or None) pair, so the count
+        # alone decides totality; the walk names a missing move, or else a key is silent
         if len(self.delta) != self.states * len(self.alphabet):
             letters = sorted(self.alphabet)
             for q in range(self.states):
                 for sym in letters:
                     if (q, sym) not in self.delta:
                         raise MalformedInputError(f"transitions: missing move for state {q} on {sym!r}")
+            raise MalformedInputError("transitions: silent moves are not allowed in a dfa")
 
 
 Automaton = Union[Nfa, Dfa]
@@ -285,20 +288,18 @@ class Tables:
 def _compile(automaton: Automaton) -> Tables:
     n = automaton.states
     symbols = tuple(sorted(automaton.alphabet))
-    if isinstance(automaton, Dfa):
-        closures = tuple(1 << q for q in range(n))
-        moves = {sym: tuple(1 << automaton.delta[(q, sym)] for q in range(n)) for sym in symbols}
-    else:
-        silent = [0] * n
-        for src, label, dst in automaton.transitions:
-            if label is None:
-                silent[src] |= 1 << dst
-        closures = tuple(_reach(1 << q, silent) for q in range(n))
-        rows = {sym: [0] * n for sym in symbols}
-        for src, label, dst in automaton.transitions:
-            if label is not None:
-                rows[label][src] |= closures[dst]
-        moves = {sym: tuple(row) for sym, row in rows.items()}
+    transitions = automaton.transitions  # a Dfa builds its triples on each read
+    silent = [0] * n
+    for src, label, dst in transitions:
+        if label is None:
+            silent[src] |= 1 << dst
+    # a state with no silent move is its own closure, as every state of a DFA is
+    closures = tuple(_reach(1 << q, silent) if silent[q] else 1 << q for q in range(n))
+    rows = {sym: [0] * n for sym in symbols}
+    for src, label, dst in transitions:
+        if label is not None:
+            rows[label][src] |= closures[dst]
+    moves = {sym: tuple(row) for sym, row in rows.items()}
     finals = sum(1 << q for q in automaton.finals)
     return Tables(symbols, closures, moves, closures[automaton.start], finals)
 
@@ -392,8 +393,7 @@ def determinize(nfa: Nfa) -> Dfa:
 
 
 def dfa_to_nfa(dfa: Dfa) -> Nfa:
-    transitions = frozenset((src, sym, dst) for (src, sym), dst in dfa.delta.items())
-    return Nfa(dfa.states, dfa.alphabet, transitions, dfa.start, dfa.finals)
+    return Nfa(dfa.states, dfa.alphabet, dfa.transitions, dfa.start, dfa.finals)
 
 
 def accepts(automaton: Automaton, word: str) -> bool:
@@ -433,12 +433,9 @@ def erase_letters(automaton: Automaton, erase: Iterable[str]) -> Nfa:
     extra = erase_set - automaton.alphabet
     if extra:
         raise AlphabetError(f"cannot erase symbols outside the alphabet: {sorted(extra)}")
-    nfa = automaton if isinstance(automaton, Nfa) else dfa_to_nfa(automaton)
-    transitions = frozenset(
-        (src, None if label in erase_set else label, dst)
-        for src, label, dst in nfa.transitions
-    )
-    return Nfa(nfa.states, nfa.alphabet - erase_set, transitions, nfa.start, nfa.finals)
+    transitions = frozenset((src, None if label in erase_set else label, dst)
+                            for src, label, dst in automaton.transitions)
+    return Nfa(automaton.states, automaton.alphabet - erase_set, transitions, automaton.start, automaton.finals)
 
 
 def equivalent(a: Automaton, b: Automaton) -> bool:
@@ -468,14 +465,9 @@ def equivalent(a: Automaton, b: Automaton) -> bool:
 
 def automaton_to_json(automaton: Automaton) -> dict:
     """Serialize to the interchange dict; key order and sorting are stable."""
-    if isinstance(automaton, Dfa):
-        kind = "dfa"
-        triples = sorted((src, sym, dst) for (src, sym), dst in automaton.delta.items())
-    else:
-        kind = "nfa"
-        triples = sorted(automaton.transitions, key=_transition_order)
+    triples = sorted(automaton.transitions, key=_transition_order)
     return {
-        "kind": kind,
+        "kind": "dfa" if isinstance(automaton, Dfa) else "nfa",
         "alphabet": sorted(automaton.alphabet),
         "states": automaton.states,
         "start": automaton.start,

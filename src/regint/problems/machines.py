@@ -26,7 +26,7 @@ from ..errors import (MalformedInputError, MalformedWordError, ResourceLimitErro
 
 # 1-based wire codes for head moves, and the head shift of each move.
 _MOVE_CODE = {"L": 1, "R": 2, "S": 3}
-_MOVE_NAME = {1: "L", 2: "R", 3: "S"}
+_MOVE_NAME = {code: move for move, code in _MOVE_CODE.items()}
 _SHIFT = {"L": -1, "R": 1, "S": 0}
 
 # (from state, read symbol, to state, written symbol, move)
@@ -272,9 +272,9 @@ def member_machine_language(word: str, mode: str) -> bool:
     except MalformedWordError:
         return False
     if tm.start == tm.accept:
-        return n > 0 or mode != "NL"  # accepted in zero steps, but log 0 is undefined
+        return True  # accepted in zero steps
     if n < 1:
-        return False  # no step to take, no cell to stand on, or log 0 undefined
+        return False  # no step to take or no cell to stand on
     if mode == "NP":
         # The head starts on cell 1, moves at most one cell per step and
         # moves only from a depth of at most n-1: no cell past n+1 is met.

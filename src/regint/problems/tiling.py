@@ -199,8 +199,7 @@ def solve_corridor_tiling(instance: TilingInstance) -> Optional[Tiling]:
     """A witness tiling of minimal height, or None.
 
     The height is the tiling's own `height`; like `solve_bounded_tiling`,
-    the solver returns the `Tiling` alone (it once returned a
-    (height, Tiling) pair).
+    the solver returns the `Tiling` alone.
 
     Breadth-first over rows: a row is any horizontally matching tile
     sequence (side edges unconstrained); its south colors must equal

@@ -95,6 +95,13 @@ def test_round_trip_through_dfa_to_nfa():
     assert equivalent(dfa, back)
 
 
+def test_a_dfa_compiles_to_the_tables_of_its_nfa_view():
+    rng = random.Random(5)
+    for _ in range(200):
+        d = random_dfa(rng, "abc", max_states=8)
+        assert d.tables == dfa_to_nfa(d).tables
+
+
 # ---------------------------------------------------------------------------
 # state numbering
 
@@ -329,6 +336,9 @@ def test_loader_rejects_silent_moves_in_dfa():
     }
     with pytest.raises(MalformedInputError):
         automaton_from_json(doc)
+    # built directly, a total dfa with one more, silent, move
+    with pytest.raises(MalformedInputError, match="silent moves are not allowed in a dfa"):
+        Dfa(1, frozenset("a"), {(0, "a"): 0, (0, None): 0}, 0, frozenset())
 
 
 def test_loader_names_the_bad_field():

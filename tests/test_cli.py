@@ -476,6 +476,10 @@ MANY_FAULTS = [
     (["decide", "--problem", "sequential-string-eq", "--dfa"],
      {"kind": "dfa", "alphabet": ["a", "b", "c"], "states": 1, "start": 0, "finals": [], "transitions": []},
      "transitions: missing move for state 0 on 'a'"),
+    (["decide", "--problem", "unary-shuffled-string-eq", "--dfa"],
+     {"kind": "dfa", "alphabet": ["a"], "states": 2, "start": 0, "finals": [],
+      "transitions": [{"from": 1, "on": "a", "to": 9}, {"from": 0, "on": "a", "to": 7}]},
+     "transitions: state out of range in (0, 'a', 7)"),
     (["search", "--problem", "shuffled-string-eq", "--max-len", "3", "--automaton"],
      {"kind": "nfa", "alphabet": ["a"], "states": 2, "start": 0, "finals": [0],
       "transitions": [{"from": 0, "on": "z", "to": 0}, {"from": 0, "on": "y", "to": 1},
@@ -490,7 +494,7 @@ MANY_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("argv, document, message", MANY_FAULTS, ids=["dfa", "nfa", "tm"])
+@pytest.mark.parametrize("argv, document, message", MANY_FAULTS, ids=["dfa", "dfa-moves", "nfa", "tm"])
 def test_the_error_for_several_faults_does_not_depend_on_the_hash_seed(tmp_path, argv, document, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(document))
